@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 PROB_SUM_TOL = 1e-9
 
@@ -67,10 +66,28 @@ class RateDistribution:
         return float(np.dot([(v - m) ** 2 for v in self.values], self.probs))
 
 
+def log_sum_exp(x: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """log(sum(weights * exp(x))), with unit weights when none are given.
+
+    Shifted by max(x), so no term overflows and the largest term never
+    underflows. Weights must be positive.
+    """
+    shift = x.max()
+    terms = np.exp(x - shift)
+    total = terms.sum() if weights is None else np.dot(weights, terms)
+    return float(shift + math.log(total))
+
+
 def _log_mgf_neg(dist: RateDistribution, theta: float) -> float:
     # log E[exp(-theta x)], evaluated in log space so large theta*x cannot
-    # underflow the whole expectation to zero.
-    return float(logsumexp(-theta * np.asarray(dist.values), b=np.asarray(dist.probs)))
+    # underflow the whole expectation to zero. Zero-probability values are
+    # dropped: they must not set the shift.
+    probs = np.asarray(dist.probs)
+    values = np.asarray(dist.values)
+    if probs.min() == 0.0:
+        keep = probs > 0.0
+        probs, values = probs[keep], values[keep]
+    return log_sum_exp(-theta * values, probs)
 
 
 def effective_capacity(dist: RateDistribution, theta: float) -> float:
@@ -103,7 +120,7 @@ def empirical_effective_capacity(samples: Sequence[float], theta: float) -> floa
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one sample")
-    return -(float(logsumexp(-theta * arr)) - math.log(arr.size)) / theta
+    return -(log_sum_exp(-theta * arr) - math.log(arr.size)) / theta
 
 
 def taylor_diagnostic(dist: RateDistribution, theta: float) -> tuple[float, float]:

@@ -124,3 +124,26 @@ def sample_realization(
         k = bisect_right(spec._cum_probs, u[i])
         out.append(spec.rates[min(k, len(spec.rates) - 1)])
     return tuple(out)
+
+
+class RateSampler:
+    """sample_realization for many draws at once.
+
+    Maps uniforms [..., M] to rates [..., M] with the same inverse CDF and
+    the same cumulative tables, so equal uniforms give equal rates.
+    """
+
+    def __init__(self, specs: Sequence[ChannelSpec]) -> None:
+        k = max(len(spec.rates) for spec in specs)
+        # padding: the true last state's cumulative 1 already exceeds every u
+        self._cum = np.full((len(specs), k), np.inf)
+        self._rates = np.zeros((len(specs), k))
+        for m, spec in enumerate(specs):
+            self._cum[m, : len(spec.rates)] = spec._cum_probs
+            self._rates[m, : len(spec.rates)] = spec.rates
+        self._channels = np.arange(len(specs))
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        # the first cumulative above u: bisect_right, as in sample_realization
+        state = (self._cum > u[..., None]).argmax(axis=-1)
+        return self._rates[self._channels, state]

@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Five subcommands share one config pipeline: `analyze` inspects the one-shot
-game, `learn` traces a single run, `experiment` runs seeded parallel trials,
-`sweep` repeats an experiment along one variable, and `ode` integrates the
-mean-field flow. Every command writes its artifacts (CSV, JSON, optional
-SVG) into the output directory and prints a one-line summary.
+game, `learn` traces a single run, `experiment` runs seeded independent
+trials, `sweep` repeats an experiment along one variable, and `ode`
+integrates the mean-field flow. Every command writes its artifacts (CSV,
+JSON, optional SVG) into the output directory and prints a one-line summary.
 
 Exit codes: 0 on success, 1 on runtime failure, 2 on bad usage or config.
 """

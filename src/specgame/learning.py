@@ -48,12 +48,27 @@ class StepSchedule:
         return self.eta
 
 
-def _check_rows_on_simplex(p: np.ndarray) -> None:
+def check_simplex_rows(p: np.ndarray) -> None:
+    """Raise ValueError unless every row of p (its last axis) is a distribution."""
     if not np.all(np.isfinite(p)) or np.any(p < 0.0):
         raise ValueError("strategy rows must be finite and non-negative")
-    err = np.abs(p.sum(axis=1) - 1.0).max()
+    err = np.abs(p.sum(axis=-1) - 1.0).max()
     if err > SIMPLEX_TOL:
         raise ValueError(f"strategy rows drift off the simplex by {err:.3e}")
+
+
+def check_estimates(q: np.ndarray, thetas: Sequence[float]) -> None:
+    """Raise ValueError unless every estimate lies in [0, 1/theta] of its user.
+
+    q is [..., N, M] with users on its second-to-last axis. The transformed
+    payoff (1 - exp(-theta r)) / theta never leaves that interval, so
+    neither can a convex combination of such payoffs.
+    """
+    if not np.all(np.isfinite(q)) or np.any(q < 0.0):
+        raise ValueError("estimates must be finite and non-negative")
+    bound = 1.0 / np.asarray(thetas, dtype=float)[:, None]
+    if np.any(q > bound + Q_BOUND_SLACK):
+        raise ValueError("estimate above 1/theta")
 
 
 @dataclass(frozen=True)
@@ -67,7 +82,7 @@ class LearnerState:
     def __post_init__(self) -> None:
         if self.p.shape != self.q.shape or self.p.ndim != 2:
             raise ValueError("p and q must both be N x M")
-        _check_rows_on_simplex(self.p)
+        check_simplex_rows(self.p)
         if not np.all(np.isfinite(self.q)) or np.any(self.q < 0.0):
             raise ValueError("estimates must be finite and non-negative")
 
@@ -92,6 +107,11 @@ def sample_profile(p: np.ndarray, rng: np.random.Generator) -> tuple[int, ...]:
 
 
 def select_actions(state: LearnerState, rng: np.random.Generator) -> tuple[int, ...]:
+    """sample_profile on the learner's strategies.
+
+    A plain alias, kept because the benchmark's tracer (perfbench/run.py)
+    wraps it by name.
+    """
     return sample_profile(state.p, rng)
 
 
@@ -115,7 +135,7 @@ def update_estimates(
     cols = np.asarray(profile, dtype=int) - 1
     q[rows, cols] += lam * (target - q[rows, cols])
     # estimates can never leave [0, 1/theta]; exceeding it means a bug
-    assert np.all(q <= 1.0 / thetas_arr[:, None] + Q_BOUND_SLACK), "estimate above 1/theta"
+    check_estimates(q, thetas_arr)
     return replace(state, q=q)
 
 
@@ -153,7 +173,7 @@ class SLAState:
             raise ValueError(f"step size b must be in (0, 1), got {self.b!r}")
         if self.r_max <= 0.0:
             raise ValueError(f"r_max must be > 0, got {self.r_max!r}")
-        _check_rows_on_simplex(self.p)
+        check_simplex_rows(self.p)
 
 
 def init_sla(n_users: int, n_channels: int, b: float = 0.08, r_max: float = 6.0) -> SLAState:
@@ -178,5 +198,9 @@ def sla_update(
 def random_baseline_profile(
     n_users: int, n_channels: int, rng: np.random.Generator
 ) -> tuple[int, ...]:
-    """One uniformly random channel id per user, drawn in user order."""
-    return tuple(int(a) for a in rng.integers(1, n_channels + 1, size=n_users))
+    """One uniformly random channel id per user, drawn in user order.
+
+    The inverse-CDF draw of sample_profile on uniform strategies, so it
+    consumes one uniform per user like every other policy.
+    """
+    return sample_profile(np.full((n_users, n_channels), 1.0 / n_channels), rng)

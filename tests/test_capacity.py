@@ -97,6 +97,40 @@ class TestEffectiveCapacity:
         assert vals[-1] == pytest.approx(d.mean(), rel=1e-5)
 
 
+class TestLogSumExp:
+    """The max-shifted log-sum-exp against the direct formula, where the
+    direct formula cannot underflow.
+
+    Either formula loses about eps / (theta * C) to rounding in the log, so
+    rates stay at 0.05 and above and theta at 0.01 and above, as in
+    dist_strategy: there theta * C >= 5e-4 and both keep 1e-12.
+    """
+
+    @given(dist_strategy(min_states=1), st.floats(1e-2, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_effective_capacity_matches_direct_sum(self, d, theta):
+        mgf = math.fsum(p * math.exp(-theta * v) for v, p in zip(d.values, d.probs))
+        assert effective_capacity(d, theta) == pytest.approx(
+            -math.log(mgf) / theta, rel=1e-12
+        )
+
+    @given(
+        st.lists(st.floats(0.05, 10.0), min_size=1, max_size=300),
+        st.floats(1e-2, 10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_empirical_capacity_matches_direct_sum(self, samples, theta):
+        mean = math.fsum(math.exp(-theta * x) for x in samples) / len(samples)
+        assert empirical_effective_capacity(samples, theta) == pytest.approx(
+            -math.log(mean) / theta, rel=1e-12
+        )
+
+    def test_zero_probability_state_does_not_set_the_shift(self):
+        # the unreachable rate 0 would shift by 0 and underflow every real term
+        d = RateDistribution((0.0, 100.0), (0.0, 1.0))
+        assert effective_capacity(d, 50.0) == pytest.approx(100.0, rel=1e-12)
+
+
 class TestApproxUtility:
     def test_two_point_example(self):
         d = RateDistribution((0.0, 2.0), (0.5, 0.5))

@@ -119,20 +119,27 @@ class TestExperiment:
         ]
         assert len(users) == 4 * 2
 
-    def test_byte_identical_across_runs_and_threads(self, tmp_path, monkeypatch):
+    def test_byte_identical_across_runs(self, tmp_path):
         cfg = write_config(tmp_path)
         outs = []
-        for name, threads in (("t1", "1"), ("t1b", "1"), ("t4", "4")):
-            monkeypatch.setenv("SPECGAME_THREADS", threads)
+        for name in ("a", "b"):
             out = tmp_path / name
             assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
             outs.append(out)
-        first = (outs[0] / "trials.csv").read_bytes()
-        assert (outs[1] / "trials.csv").read_bytes() == first
-        assert (outs[2] / "trials.csv").read_bytes() == first
-        assert (outs[2] / "users.csv").read_bytes() == (
-            outs[0] / "users.csv"
-        ).read_bytes()
+        for name in ("trials.csv", "users.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_fewer_trials_keep_the_leading_rows(self, tmp_path):
+        cfg = write_config(tmp_path)
+        full, fewer = tmp_path / "full", tmp_path / "fewer"
+        argv = ["experiment", "--config", str(cfg)]
+        assert main([*argv, "--trials", "8", "--out", str(full)]) == 0
+        assert main([*argv, "--trials", "3", "--out", str(fewer)]) == 0
+        for name, rows in (("trials.csv", 3), ("users.csv", 3 * 2)):
+            long = (full / name).read_text(encoding="utf-8").splitlines()
+            short = (fewer / name).read_text(encoding="utf-8").splitlines()
+            assert len(short) == 1 + rows
+            assert short == long[: len(short)]
 
     def test_trace_flag_matches_learn_trace(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -137,6 +137,18 @@ class TestRejection:
         with pytest.raises(ConfigError, match="iterations"):
             config_from_dict(data)
 
+    def test_sla_gain_outside_unit_interval_is_config_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**minimal(), "sla_gain": 1.5}), encoding="utf-8")
+        with pytest.raises(ConfigError, match="sla_gain"):
+            parse_config(path)
+
+    def test_nonpositive_sla_rate_cap_is_config_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**minimal(), "sla_rate_cap": 0}), encoding="utf-8")
+        with pytest.raises(ConfigError, match="sla_rate_cap"):
+            parse_config(path)
+
     def test_sweep_needs_both_fields(self):
         data = minimal()
         data["sweep"] = {"variable": "eta"}

@@ -110,6 +110,12 @@ class TestUpdateEstimates:
             assert np.all(state.q[0] <= 1 / 0.5 + 1e-9)
             assert np.all(state.q[1] <= 1 / 2.0 + 1e-9)
 
+    def test_corrupted_estimate_raises(self):
+        # an estimate already above 1/theta cannot be pulled back in one step
+        state = LearnerState(p=np.full((1, 2), 0.5), q=np.array([[0.0, 5.0]]), slot=9)
+        with pytest.raises(ValueError, match="1/theta"):
+            update_estimates(state, (1,), (1.0,), (0.5,), StepSchedule())
+
     def test_running_mean_identity(self):
         """With a frozen action and lambda = 1/t, Q is exactly the running
         mean of the transformed payoffs."""

@@ -8,6 +8,7 @@ from conftest import random_game
 from specgame.capacity import effective_capacity, empirical_effective_capacity
 from specgame.channels import ChannelSpec
 from specgame.game import Contention, GameSpec, shared_rate_distribution
+from specgame import simulator
 from specgame.simulator import (
     SimConfig,
     resolve_contention,
@@ -17,6 +18,7 @@ from specgame.simulator import (
     summarize,
     sweep,
     trial_rng,
+    trial_seed,
     worker_count,
 )
 
@@ -47,23 +49,20 @@ class TestSeeding:
     def test_trial_stream_reproducible(self):
         assert np.array_equal(trial_rng(9, 3).random(8), trial_rng(9, 3).random(8))
 
+    def test_base_seeds_give_independent_streams(self):
+        # base_seed XOR i would map seeds 0-3 x trials 0-3 onto only 4 streams
+        seeds = {trial_seed(b, i) for b in range(4) for i in range(4)}
+        streams = {tuple(trial_rng(b, i).random(4)) for b in range(4) for i in range(4)}
+        assert len(seeds) == 16
+        assert len(streams) == 16
+
+    def test_trial_seed_formula(self):
+        assert trial_seed(5, 3) == splitmix64(splitmix64(5) ^ 3)
+
 
 class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("SPECGAME_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("SPECGAME_THREADS", raising=False)
-        assert worker_count() >= 1
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("SPECGAME_THREADS", "many")
-        with pytest.raises(ValueError, match="integer"):
-            worker_count()
-        monkeypatch.setenv("SPECGAME_THREADS", "0")
-        with pytest.raises(ValueError, match=">= 1"):
-            worker_count()
+    def test_default_positive(self):
+        assert worker_count() == 1
 
 
 class TestSimConfig:
@@ -89,6 +88,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(game=TWIN, eta=-0.5)
 
+    def test_rejects_bad_sla_gain(self):
+        for gain in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="sla_gain"):
+                SimConfig(game=TWIN, sla_gain=gain)
+
+    def test_rejects_bad_sla_rate_cap(self):
+        for cap in (0.0, -2.0):
+            with pytest.raises(ValueError, match="sla_rate_cap"):
+                SimConfig(game=TWIN, sla_rate_cap=cap)
+
     def test_rate_cap_defaults_to_best_rate(self):
         assert SimConfig(game=TWIN).rate_cap() == 6.0
         assert SimConfig(game=TWIN, sla_rate_cap=3.0).rate_cap() == 3.0
@@ -97,20 +106,20 @@ class TestSimConfig:
 class TestResolveContention:
     def test_fair_share_splits_evenly(self):
         rng = np.random.default_rng(0)
-        got = resolve_contention(Contention.FAIR_SHARE, (6.0, 2.0), (1, 1), rng)
+        got = resolve_contention(Contention.FAIR_SHARE, (6.0, 2.0), (1, 1), rng.random(2))
         assert got.tolist() == [3.0, 3.0]
 
     def test_sole_user_gets_full_rate_under_both_models(self):
         rng = np.random.default_rng(0)
         for model in Contention:
-            got = resolve_contention(model, (6.0, 2.0), (2,), rng)
+            got = resolve_contention(model, (6.0, 2.0), (2,), rng.random(2))
             assert got.tolist() == [2.0]
 
     def test_slot_winner_single_nonzero_per_channel(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             got = resolve_contention(
-                Contention.SLOT_WINNER, (5.0, 1.0), (1, 1, 1, 2), rng
+                Contention.SLOT_WINNER, (5.0, 1.0), (1, 1, 1, 2), rng.random(2)
             )
             assert np.count_nonzero(got[:3]) == 1
             assert got[:3].sum() == 5.0
@@ -121,9 +130,18 @@ class TestResolveContention:
         rng = np.random.default_rng(2)
         wins = np.zeros(3)
         for _ in range(100_000):
-            got = resolve_contention(Contention.SLOT_WINNER, (1.0,), (1, 1, 1), rng)
+            got = resolve_contention(
+                Contention.SLOT_WINNER, (1.0,), (1, 1, 1), rng.random(1)
+            )
             wins += got > 0
         assert np.abs(wins / 100_000 - 1 / 3).max() < 0.01
+
+    def test_slot_winner_takes_rank_floor_u_times_count(self):
+        # users 1, 2 and 4 share channel 1; floor(0.7 * 3) = 2 picks user 4
+        got = resolve_contention(
+            Contention.SLOT_WINNER, (5.0, 1.0), (1, 1, 2, 1), (0.7, 0.0)
+        )
+        assert got.tolist() == [0.0, 0.0, 1.0, 5.0]
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -132,7 +150,9 @@ class TestResolveContention:
         g = random_game(rng)
         profile = tuple(int(a) for a in rng.integers(1, g.n_channels + 1, g.n_users))
         rates = rng.uniform(0.0, 5.0, g.n_channels)
-        payoffs = resolve_contention(Contention.FAIR_SHARE, rates, profile, rng)
+        payoffs = resolve_contention(
+            Contention.FAIR_SHARE, rates, profile, rng.random(g.n_channels)
+        )
         for m in range(1, g.n_channels + 1):
             on_m = [payoffs[u] for u, a in enumerate(profile) if a == m]
             if on_m:
@@ -249,13 +269,30 @@ class TestRunExperiment:
         assert s.std_agg_closed == pytest.approx(np.std(aggs, ddof=1), abs=1e-12)
         assert [r.trial for r in s.results] == [0, 1, 2, 3, 4]
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
+    def test_repeat_runs_are_identical(self):
         cfg = SimConfig(game=TWIN, iterations=150, trials=8, base_seed=13)
-        monkeypatch.setenv("SPECGAME_THREADS", "1")
-        serial = run_experiment(cfg)
-        monkeypatch.setenv("SPECGAME_THREADS", "8")
-        threaded = run_experiment(cfg)
-        assert serial == threaded
+        assert run_experiment(cfg) == run_experiment(cfg)
+
+    @pytest.mark.parametrize("algorithm", ["learn", "sla", "random"])
+    def test_fewer_trials_keep_the_leading_results(self, algorithm):
+        cfg = SimConfig(
+            game=TWIN, iterations=150, trials=8, base_seed=13, algorithm=algorithm
+        )
+        full = run_experiment(cfg).results
+        fewer = run_experiment(replace(cfg, trials=3)).results
+        assert fewer == full[:3]
+        assert all(run_trial(cfg, i) == full[i] for i in (0, 5))
+
+    @pytest.mark.parametrize("block_bytes, chunk_slots", [(1, 1), (3 * 150 * 2 * 8, 7)])
+    def test_block_and_chunk_sizes_do_not_change_results(
+        self, monkeypatch, block_bytes, chunk_slots
+    ):
+        game = replace(TWIN, contention=Contention.SLOT_WINNER)
+        cfg = SimConfig(game=game, iterations=150, trials=8, base_seed=13, lam=0.3)
+        default = run_experiment(cfg)
+        monkeypatch.setattr(simulator, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(simulator, "CHUNK_SLOTS", chunk_slots)
+        assert run_experiment(cfg) == default
 
     def test_summary_permutation_invariant(self):
         cfg = SimConfig(game=TWIN, iterations=100, trials=6, base_seed=3)
