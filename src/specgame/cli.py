@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import sys
@@ -31,7 +30,13 @@ from specgame.config import (
     preset_config,
 )
 from specgame.dynamics import integrate
-from specgame.game import enumerate_nash, ordinal_potential, utility, verify_potentials
+from specgame.game import (
+    Contention,
+    enumerate_nash,
+    potential_maximizer,
+    total_utility,
+    verify_potentials,
+)
 from specgame.plots import (
     aggregate_chart,
     estimate_chart,
@@ -44,7 +49,11 @@ from specgame.simulator import run_experiment, run_trial, sweep, trial_rng
 
 ODE_DT = 0.02
 
-NASH_SCAN_CAP = 100_000
+FAIR_SHARE_NOTE = (
+    "potential_maximizer maximizes the ordinal potential, which follows fair "
+    "sharing; this game uses slot_winner contention, so the maximizer need "
+    "not be one of its equilibria"
+)
 
 
 def _fmt(value) -> str:
@@ -108,19 +117,12 @@ def cmd_analyze(args) -> int:
     game = cfg.sim.game
     out = _out_dir(cfg)
     profiles = enumerate_nash(game)
-    aggregates = [
-        sum(utility(game, p, u) for u in range(game.n_users)) for p in profiles
-    ]
+    aggregates = total_utility(game, profiles).tolist()
     report = verify_potentials(game, rng=np.random.default_rng(cfg.sim.base_seed))
     maximizer = None
-    if (
-        game.homogeneous_theta() is not None
-        and game.n_channels**game.n_users <= NASH_SCAN_CAP
-    ):
-        maximizer = max(
-            itertools.product(range(1, game.n_channels + 1), repeat=game.n_users),
-            key=lambda p: ordinal_potential(game, p),
-        )
+    if game.homogeneous_theta() is not None:
+        maximizer = potential_maximizer(game)
+    note = maximizer is not None and game.contention is Contention.SLOT_WINNER
     analysis = {
         "n_users": game.n_users,
         "n_channels": game.n_channels,
@@ -132,6 +134,7 @@ def cmd_analyze(args) -> int:
         "best_nash_profile": list(max(zip(aggregates, profiles))[1]) if profiles else None,
         "best_nash_aggregate_ec": max(aggregates) if aggregates else None,
         "potential_maximizer": list(maximizer) if maximizer else None,
+        **({"potential_note": FAIR_SHARE_NOTE} if note else {}),
         "potential_check": {
             "exhaustive": report.exhaustive,
             "deviations_checked": report.deviations_checked,
@@ -140,15 +143,20 @@ def cmd_analyze(args) -> int:
             "opg_zero_mismatches": report.opg_zero_mismatches,
         },
     }
-    (out / "analysis.json").write_text(
-        json.dumps(analysis, indent=2) + "\n", encoding="utf-8"
-    )
+    with open(out / "analysis.json", "w", encoding="utf-8") as fh:
+        # streamed: one string of the whole document would set the peak memory
+        json.dump(analysis, fh, indent=2)
+        fh.write("\n")
     _write_resolved(cfg, out)
     best = analysis["best_nash_aggregate_ec"]
     best_txt = f", best aggregate EC {best:.4f}" if best is not None else ""
+    max_txt = ""
+    if maximizer is not None:
+        model = " (fair-share potential)" if note else ""
+        max_txt = f", potential maximizer {'|'.join(map(str, maximizer))}{model}"
     print(
         f"analyze: {len(profiles)} pure NE over "
-        f"{game.n_channels}^{game.n_users} profiles{best_txt} -> {out}"
+        f"{game.n_channels}^{game.n_users} profiles{best_txt}{max_txt} -> {out}"
     )
     return 0
 

@@ -5,23 +5,18 @@ of simplices: each user's probability mass flows toward channels whose
 expected surrogate payoff (against the other users' mixtures) beats the
 user's current average. With a common QoS exponent the expected surrogate
 potential is a Lyapunov function for this flow, and its stationary points
-include every pure Nash profile.
+include every pure Nash profile. Both the payoffs and the potential are
+exact at any size: they need only each channel's Poisson-binomial count law.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from specgame.game import (
-    GameSpec,
-    _count_utility_tables,
-    congestion_counts,
-    surrogate_potential,
-)
+from specgame.game import GameSpec, _count_utility_tables, _exp_term_table
 
 SIMPLEX_TOL = 1e-9
 
@@ -42,153 +37,79 @@ def check_mixed_profile(game: GameSpec, strategies) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
-class ActionValue:
-    """Expected surrogate payoff of one pure action against the field."""
+def _others_count_law(p: np.ndarray) -> np.ndarray:
+    """[N, M, N]: P(c of the users other than n are on channel m), c = 0..N-1.
 
-    value: float
-    stderr: float
-    exact: bool
-
-
-def action_value(
-    game: GameSpec,
-    user: int,
-    channel: int,
-    strategies,
-    exact_cap: int = 100_000,
-    mc_samples: int = 10_000,
-    rng: np.random.Generator | None = None,
-) -> ActionValue:
-    """E[u'_user | a_user = channel] with the others drawn from `strategies`.
-
-    Enumerates the others' joint actions exactly while M**(N-1) fits under
-    `exact_cap`; beyond that draws `mc_samples` joint actions and reports the
-    standard error of the estimate.
+    N convolution passes, one per user k, each over every row but k's.
     """
+    n = p.shape[0]
+    dist = np.zeros((n, p.shape[1], n))
+    dist[:, :, 0] = 1.0
+    for k in range(n):
+        q = p[k][None, :, None]
+        nxt = dist * (1.0 - q)
+        nxt[:, :, 1:] += dist[:, :, :-1] * q
+        nxt[k] = dist[k]  # user k is not among its own others
+        dist = nxt
+    return dist
+
+
+class _Field:
+    """Exact action values and expected potential of independent mixtures.
+
+    For user n on channel m, the number of other users on m is
+    Poisson-binomial in the column p[:, m] without row n, so
+    omega[n, m] = sum_c P(c others) * T_n[m, c] with T_n the user's
+    surrogate table. The potential separates over channels the same way,
+    against the whole population's count law and the exp-term table.
+    """
+
+    def __init__(self, game: GameSpec):
+        self.tables = np.stack(_count_utility_tables(game, "surrogate"))  # [N, M, N]
+        self.theta = game.homogeneous_theta()
+        if self.theta is not None:
+            self.exp_terms = _exp_term_table(game, self.theta, game.n_users)
+
+    def evaluate(self, p: np.ndarray) -> tuple[np.ndarray, float]:
+        """omega [N, M] and the expected surrogate potential (nan without one)."""
+        others = _others_count_law(p)
+        omega = (others * self.tables).sum(axis=2)
+        if self.theta is None:
+            return omega, math.nan
+        # add user 0 back to its others: the count law of all N users
+        everyone = np.zeros((p.shape[1], p.shape[0] + 1))
+        everyone[:, :-1] = others[0] * (1.0 - p[0])[:, None]
+        everyone[:, 1:] += others[0] * p[0][:, None]
+        phi = float((everyone * self.exp_terms).sum())
+        return omega, (1.0 - phi) / self.theta
+
+
+def action_value(game: GameSpec, user: int, channel: int, strategies) -> float:
+    """E[u'_user | a_user = channel] with the others drawn from `strategies`."""
     p = check_mixed_profile(game, strategies)
     if not 1 <= channel <= game.n_channels:
         raise ValueError(f"channel must be in 1..{game.n_channels}")
-    table = _count_utility_tables(game, "surrogate")[user]
-    others = [k for k in range(game.n_users) if k != user]
-    m = game.n_channels
-    if m ** len(others) <= exact_cap:
-        total = 0.0
-        for combo in itertools.product(range(m), repeat=len(others)):
-            w = 1.0
-            for k, a in zip(others, combo):
-                w *= p[k, a]
-                if w == 0.0:
-                    break
-            if w == 0.0:
-                continue
-            c = 1 + sum(a == channel - 1 for a in combo)
-            total += w * table[channel - 1, c - 1]
-        return ActionValue(value=float(total), stderr=0.0, exact=True)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    draws = np.empty((mc_samples, len(others)), dtype=int)
-    for j, k in enumerate(others):
-        draws[:, j] = rng.choice(m, size=mc_samples, p=p[k])
-    counts = 1 + (draws == channel - 1).sum(axis=1)
-    vals = table[channel - 1, counts - 1]
-    return ActionValue(
-        value=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(mc_samples)),
-        exact=False,
-    )
+    omega, _ = _Field(game).evaluate(p)
+    return float(omega[user, channel - 1])
 
 
-class _FieldEvaluator:
-    """Precomputed full-profile enumeration for fast repeated evaluations."""
-
-    def __init__(self, game: GameSpec, cap: int = 100_000):
-        n, m = game.n_users, game.n_channels
-        total = m**n
-        if total > cap:
-            raise ValueError(
-                f"profile space has {total} entries (M**N = {m}**{n}), beyond "
-                f"{cap}; exact dynamics need a smaller game (action_value "
-                "offers a Monte Carlo estimate)"
-            )
-        profiles = np.array(
-            list(itertools.product(range(m), repeat=n)), dtype=int
-        ).reshape(total, n)
-        tables = _count_utility_tables(game, "surrogate")
-        util = np.empty((total, n))
-        theta = game.homogeneous_theta()
-        self.phi = np.full(total, np.nan)
-        for idx in range(total):
-            prof = tuple(int(a) + 1 for a in profiles[idx])
-            counts = congestion_counts(prof, m)
-            for u in range(n):
-                util[idx, u] = tables[u][prof[u] - 1, counts[prof[u] - 1] - 1]
-            if theta is not None:
-                self.phi[idx] = surrogate_potential(game, prof)
-        self.game = game
-        self.profiles = profiles
-        self.util = util
-        self.user_idx = np.broadcast_to(np.arange(n), (total, n))
-
-    def omegas(self, p: np.ndarray) -> np.ndarray:
-        """All action values at once: omega[n, m]."""
-        w = p[self.user_idx, self.profiles]  # weight of each user's own action
-        total, n = w.shape
-        left = np.ones_like(w)
-        np.cumprod(w[:, :-1], axis=1, out=left[:, 1:])
-        right = np.ones_like(w)
-        np.cumprod(w[:, :0:-1], axis=1, out=right[:, -2::-1])
-        others_w = left * right
-        contrib = others_w * self.util
-        omega = np.zeros_like(p)
-        np.add.at(omega, (self.user_idx, self.profiles), contrib)
-        return omega
-
-    def mean_potential(self, p: np.ndarray) -> float:
-        w = p[self.user_idx, self.profiles]
-        return float(w.prod(axis=1) @ self.phi)
+def _rhs(p: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    return p * (omega - (p * omega).sum(axis=1, keepdims=True))
 
 
-def replicator_rhs(game: GameSpec, strategies, cap: int = 100_000) -> np.ndarray:
+def replicator_rhs(game: GameSpec, strategies) -> np.ndarray:
     """dP/dt: p_nm * (omega_nm - sum_m' p_nm' omega_nm'). Rows sum to zero."""
     p = check_mixed_profile(game, strategies)
-    omega = _FieldEvaluator(game, cap=cap).omegas(p)
-    avg = (p * omega).sum(axis=1, keepdims=True)
-    return p * (omega - avg)
+    omega, _ = _Field(game).evaluate(p)
+    return _rhs(p, omega)
 
 
-def mixed_potential(
-    game: GameSpec,
-    strategies,
-    cap: int = 100_000,
-    mc_samples: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Expected surrogate potential under independent mixed strategies.
-
-    Exact enumeration up to `cap` profiles; pass `mc_samples` (and optionally
-    `rng`) beyond that for a Monte Carlo estimate.
-    """
+def mixed_potential(game: GameSpec, strategies) -> float:
+    """Expected surrogate potential under independent mixed strategies."""
     p = check_mixed_profile(game, strategies)
     if game.homogeneous_theta() is None:
         raise ValueError("mixed potential needs a common QoS exponent")
-    n, m = game.n_users, game.n_channels
-    if m**n <= cap:
-        return _FieldEvaluator(game, cap=cap).mean_potential(p)
-    if mc_samples is None:
-        raise ValueError(
-            f"profile space has {m**n} entries, beyond {cap}; pass mc_samples "
-            "for a Monte Carlo estimate"
-        )
-    if rng is None:
-        rng = np.random.default_rng(0)
-    draws = np.empty((mc_samples, n), dtype=int)
-    for u in range(n):
-        draws[:, u] = rng.choice(m, size=mc_samples, p=p[u])
-    vals = [
-        surrogate_potential(game, tuple(int(a) + 1 for a in row)) for row in draws
-    ]
-    return float(np.mean(vals))
+    return _Field(game).evaluate(p)[1]
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -217,7 +138,6 @@ def integrate(
     start,
     dt: float,
     steps: int,
-    cap: int = 100_000,
 ) -> Trajectory:
     """Forward-Euler flow from `start`.
 
@@ -230,18 +150,15 @@ def integrate(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     p = check_mixed_profile(game, start).copy()
-    ev = _FieldEvaluator(game, cap=cap)
-    homogeneous = game.homogeneous_theta() is not None
+    field = _Field(game)
     path = np.empty((steps + 1, *p.shape))
-    pots = np.full(steps + 1, np.nan)
+    pots = np.empty(steps + 1)
     maxr = np.empty(steps + 1)
     for t in range(steps + 1):
-        omega = ev.omegas(p)
-        rhs = p * (omega - (p * omega).sum(axis=1, keepdims=True))
+        omega, pots[t] = field.evaluate(p)
+        rhs = _rhs(p, omega)
         path[t] = p
         maxr[t] = float(np.abs(rhs).max())
-        if homogeneous:
-            pots[t] = ev.mean_potential(p)
         if t == steps:
             break
         p = p + dt * rhs

@@ -10,6 +10,10 @@ contender) is an exact potential game with the classic Rosenthal potential.
 With a common QoS exponent and fair sharing, the full game admits the ordinal
 potential -(1/theta) * log phi, where phi sums the exponential rate terms
 channel by channel over contender counts.
+
+Payoffs depend only on a user's channel, its exponent and the channel's
+occupancy, so equilibria and the potential maximizer are found by scanning
+occupancy counts per exponent class, never all M**N profiles.
 """
 
 from __future__ import annotations
@@ -28,6 +32,14 @@ from specgame.channels import ChannelSpec, mean_rate
 ActionProfile = tuple[int, ...]
 
 TIE_TOL = 1e-12
+
+# Most occupancy states an equilibrium or potential scan visits, and most
+# equilibrium profiles enumerate_nash lists.
+STATE_LIMIT = 4_000_000
+PROFILE_LIMIT = 1_000_000
+
+# Byte budget of one chunk of states in the equilibrium scan.
+SCAN_BYTES = 8 << 20
 
 
 class Contention(Enum):
@@ -166,15 +178,34 @@ def rosenthal_potential(game: GameSpec, profile: Sequence[int]) -> float:
     return total
 
 
-def _phi_exp_sum(game: GameSpec, counts: Sequence[int], theta: float) -> float:
-    """sum_m sum_{l<=c_m} sum_k pi_mk exp(-theta s_mk / l)."""
-    total = 0.0
-    for ch, c in zip(game.channels, counts):
-        for l in range(1, c + 1):
-            total += sum(
+def _exp_term_table(game: GameSpec, theta: float, upto: int) -> np.ndarray:
+    """g[m, c] = sum_{l<=c} E[exp(-theta r_m / l)] for c = 0..upto, as [M, upto+1].
+
+    phi of a profile is sum_m g[m, c_m], added in channel order.
+    """
+    terms = np.zeros((game.n_channels, upto + 1))
+    for mi, ch in enumerate(game.channels):
+        for l in range(1, upto + 1):
+            terms[mi, l] = sum(
                 p * math.exp(-theta * r / l) for r, p in zip(ch.rates, ch.probs)
             )
+    return np.cumsum(terms, axis=1)
+
+
+def _sum_columns(values: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D array, added column by column from the left.
+
+    The same order as Python's sum() over a row, so results agree bit for bit.
+    """
+    total = values[:, 0].copy()
+    for col in range(1, values.shape[1]):
+        total += values[:, col]
     return total
+
+
+def _phi(game: GameSpec, counts: Sequence[int], theta: float) -> float:
+    g = _exp_term_table(game, theta, max(counts))
+    return float(sum(g[mi, c] for mi, c in enumerate(counts)))
 
 
 def _require_homogeneous(game: GameSpec) -> float:
@@ -196,7 +227,7 @@ def ordinal_potential(game: GameSpec, profile: Sequence[int]) -> float:
     theta = _require_homogeneous(game)
     prof = validate_profile(game, profile)
     counts = congestion_counts(prof, game.n_channels)
-    return -math.log(_phi_exp_sum(game, counts, theta)) / theta
+    return -math.log(_phi(game, counts, theta)) / theta
 
 
 def surrogate_potential(game: GameSpec, profile: Sequence[int]) -> float:
@@ -204,7 +235,7 @@ def surrogate_potential(game: GameSpec, profile: Sequence[int]) -> float:
     theta = _require_homogeneous(game)
     prof = validate_profile(game, profile)
     counts = congestion_counts(prof, game.n_channels)
-    return (1.0 - _phi_exp_sum(game, counts, theta)) / theta
+    return (1.0 - _phi(game, counts, theta)) / theta
 
 
 # --- pure-strategy equilibrium tooling -------------------------------------
@@ -279,30 +310,222 @@ def is_nash(
     return _find_improvement(tables, prof, counts, tol)
 
 
+def _exponent_classes(game: GameSpec) -> list[list[int]]:
+    """User indices grouped by QoS exponent, classes in order of their first user."""
+    classes: dict[float, list[int]] = {}
+    for n, theta in enumerate(game.thetas):
+        classes.setdefault(theta, []).append(n)
+    return list(classes.values())
+
+
+def occupancy_vectors(users: int, channels: int) -> np.ndarray:
+    """Every way to put `users` identical users on `channels` channels, as [S, M]."""
+    combos = list(itertools.combinations(range(users + channels - 1), channels - 1))
+    bars = np.array(combos, dtype=np.int64).reshape(len(combos), channels - 1)
+    edges = np.column_stack(
+        [np.full(len(bars), -1), bars, np.full(len(bars), users + channels - 1)]
+    )
+    return (np.diff(edges, axis=1) - 1).astype(np.int32)
+
+
+def _check_state_count(class_sizes: Sequence[int], channels: int) -> None:
+    states = math.prod(math.comb(s + channels - 1, channels - 1) for s in class_sizes)
+    if states > STATE_LIMIT:
+        raise ValueError(
+            f"{states} occupancy states to scan ({len(class_sizes)} exponent "
+            f"classes over {channels} channels), beyond the limit of "
+            f"{STATE_LIMIT}; shrink the game"
+        )
+
+
+def _improvable(
+    table: np.ndarray, own: np.ndarray, counts: np.ndarray, tol: float
+) -> np.ndarray:
+    """Per state, whether some user of one class has an improving move.
+
+    `table` is the class's payoff table padded to [M, N+2]: column c holds
+    the payoff with c users, and columns 0 and N+1 hold -inf. `own` [S, M]
+    counts the class's users per channel and `counts` [S, M] all users. The
+    test is _find_improvement's `candidate > current + tol`.
+    """
+    M, width = table.shape
+    base = np.arange(M) * width + counts
+    stay = table.take(base)
+    move = table.take(base + 1)
+    rows = np.arange(len(move))
+    best = move.argmax(axis=1)
+    top = move[rows, best]
+    move[rows, best] = -np.inf
+    runner_up = move.max(axis=1)
+    # the best payoff on any channel other than the one a user is on
+    elsewhere = np.where(best[:, None] == np.arange(M), runner_up[:, None], top[:, None])
+    return ((own > 0) & (elsewhere > stay + tol)).any(axis=1)
+
+
+def _equilibrium_states(
+    occupancy: list[np.ndarray], tables: list[np.ndarray], tol: float
+) -> list[np.ndarray]:
+    """Per class, the row of `occupancy` it takes in each equilibrium state.
+
+    States run over the product of the classes' occupancy rows, the last
+    class varying fastest, in chunks of SCAN_BYTES.
+    """
+    M = tables[0].shape[0]
+    radix = [len(occ) for occ in occupancy]
+    edge = np.full((M, 1), -np.inf)
+    padded = [np.hstack([edge, table, edge]) for table in tables]
+    # a state costs about 8 bytes per channel for each class's occupancy row
+    # and for each of _improvable's eight work arrays
+    chunk = max(1, SCAN_BYTES // (8 * M * (len(occupancy) + 8)))
+    total = math.prod(radix)
+    found: list[list[np.ndarray]] = [[] for _ in occupancy]
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(start + chunk, total))
+        digits = []
+        for size in reversed(radix):
+            flat, digit = np.divmod(flat, size)
+            digits.append(digit)
+        digits.reverse()
+        own = [occ[d] for occ, d in zip(occupancy, digits)]
+        counts = sum(own)
+        # drop a state as soon as one class can improve
+        alive = np.arange(len(counts))
+        for table, x in zip(padded, own):
+            alive = alive[~_improvable(table, x[alive], counts[alive], tol)]
+        for rows, d in zip(found, digits):
+            rows.append(d[alive])
+    return [np.concatenate(rows) for rows in found]
+
+
+def _multinomial(counts: Sequence[int]) -> int:
+    out = math.factorial(sum(counts))
+    for c in counts:
+        out //= math.factorial(c)
+    return out
+
+
+def _arrangements(counts: Sequence[int], dtype) -> np.ndarray:
+    """Distinct orderings of a multiset holding counts[m] copies of m, as [P, sum].
+
+    Built one position at a time: each row branches on every channel it has
+    left, in ascending order, so rows stay in lexicographic order.
+    """
+    rows = np.zeros((1, 0), dtype=dtype)
+    left = np.array([counts], dtype=np.int64)
+    for _ in range(sum(counts)):
+        parent, m = np.nonzero(left)
+        rows = np.column_stack([rows[parent], m.astype(dtype)])
+        left = left[parent]
+        left[np.arange(len(m)), m] -= 1
+    return rows
+
+
+def _expand(
+    classes: list[list[int]],
+    occupancy: list[np.ndarray],
+    states: list[np.ndarray],
+    n_users: int,
+) -> np.ndarray:
+    """Every profile [P, N] (0-based channels) of the given states, lexicographic.
+
+    Profiles use the smallest integer type that holds a channel index.
+    Refuses before building any profile when there are more than PROFILE_LIMIT.
+    """
+    sizes = np.ones(len(states[0]))
+    for occ, digits in zip(occupancy, states):
+        ways = np.zeros(len(occ))
+        for key in np.flatnonzero(np.bincount(digits, minlength=len(occ))):
+            # clamped, so that a huge count cannot overflow a float
+            ways[key] = min(_multinomial(occ[key]), PROFILE_LIMIT + 1)
+        sizes *= ways[digits]
+    if sizes.sum() > PROFILE_LIMIT:
+        raise ValueError(
+            f"the equilibria expand to more than {PROFILE_LIMIT} profiles, beyond "
+            "the limit of profiles to list; shrink the game"
+        )
+    dtype = np.min_scalar_type(occupancy[0].shape[1])
+    profiles = np.zeros((len(states[0]), n_users), dtype=dtype)
+    owner = np.arange(len(profiles))  # the state each partial profile came from
+    for users, occ, digits in zip(classes, occupancy, states):
+        # group the partial profiles by this class's occupancy row
+        key_of = digits[owner]
+        order = np.argsort(key_of, kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(key_of, minlength=len(occ)))])
+        parts, owners = [profiles[:0]], [owner[:0]]
+        for key in np.flatnonzero(np.diff(bounds)):
+            sel = order[bounds[key] : bounds[key + 1]]
+            perms = _arrangements(occ[key].tolist(), dtype)
+            block = np.repeat(profiles[sel], len(perms), axis=0)
+            block[:, users] = np.tile(perms, (len(sel), 1))
+            parts.append(block)
+            owners.append(np.repeat(owner[sel], len(perms)))
+        profiles, owner = np.concatenate(parts), np.concatenate(owners)
+    return profiles[np.lexsort(profiles.T[::-1])]
+
+
 def enumerate_nash(
     game: GameSpec,
-    limit: int = 1_000_000,
     tol: float = TIE_TOL,
     payoff: str = "capacity",
 ) -> list[ActionProfile]:
     """All pure Nash profiles, in lexicographic order.
 
-    Refuses when M**N exceeds `limit`, since the search is exhaustive.
+    Users that share a QoS exponent are interchangeable, so the scan runs
+    over states, one occupancy vector per exponent class: C(N+M-1, M-1) of
+    them for a common exponent instead of M**N profiles. Only equilibrium
+    states are expanded into profiles. Refuses, naming the limit, when the
+    states to scan exceed STATE_LIMIT or the profiles to list PROFILE_LIMIT.
+    """
+    classes = _exponent_classes(game)
+    _check_state_count([len(users) for users in classes], game.n_channels)
+    tables = _count_utility_tables(game, payoff)
+    occupancy = [occupancy_vectors(len(users), game.n_channels) for users in classes]
+    states = _equilibrium_states(
+        occupancy, [tables[users[0]] for users in classes], tol
+    )
+    profiles = _expand(classes, occupancy, states, game.n_users)
+    return list(zip(*(profiles.T + 1).tolist()))
+
+
+def potential_maximizer(game: GameSpec) -> ActionProfile:
+    """The lexicographically first profile that maximizes `ordinal_potential`.
+
+    Needs a common QoS exponent. The potential depends on occupancy counts
+    only, so the scan runs over count vectors; like the potential itself, it
+    follows fair sharing whatever the game's contention model.
+    """
+    theta = _require_homogeneous(game)
+    N, M = game.n_users, game.n_channels
+    _check_state_count([N], M)
+    states = occupancy_vectors(N, M)
+    g = _exp_term_table(game, theta, N)
+    phi = _sum_columns(g[np.arange(M), states])
+    values = [-math.log(v) / theta for v in phi.tolist()]
+    best = max(values)
+    # a state's first profile puts its users on channels in ascending order
+    return min(
+        tuple(np.repeat(np.arange(1, M + 1), x).tolist())
+        for x, v in zip(states, values)
+        if v == best
+    )
+
+
+def total_utility(
+    game: GameSpec, profiles: Sequence[Sequence[int]], payoff: str = "capacity"
+) -> np.ndarray:
+    """Sum of the users' payoffs in each profile, read from the count tables.
+
+    Added in user order, so each entry equals
+    sum(utility(game, p, u) for u in range(N)) bit for bit.
     """
     N, M = game.n_users, game.n_channels
-    total = M**N
-    if total > limit:
-        raise ValueError(
-            f"profile space has {total} entries (M**N = {M}**{N}), beyond the "
-            f"limit of {limit}; raise `limit` or shrink the game"
-        )
-    tables = _count_utility_tables(game, payoff)
-    out = []
-    for prof in itertools.product(range(1, M + 1), repeat=N):
-        counts = congestion_counts(prof, M)
-        if _find_improvement(tables, prof, counts, tol).is_nash:
-            out.append(prof)
-    return out
+    prof = np.asarray(profiles, dtype=np.int64).reshape(-1, N) - 1
+    if prof.size and (prof.min() < 0 or prof.max() >= M):
+        raise ValueError(f"profile entries must be channel ids in 1..{M}")
+    tables = np.stack(_count_utility_tables(game, payoff))
+    counts = np.stack([(prof == m).sum(axis=1) for m in range(M)], axis=1)
+    own = np.take_along_axis(counts, prof, axis=1)
+    return _sum_columns(tables[np.arange(N), prof, own - 1])
 
 
 class BestResponseLimitError(RuntimeError):
@@ -415,13 +638,7 @@ def verify_potentials(
     cum_share = np.zeros((M, N + 1))
     cum_share[:, 1:] = np.cumsum(means[:, None] / np.arange(1, N + 1)[None, :], axis=1)
     if theta is not None:
-        exp_terms = np.zeros((M, N + 1))
-        for mi, ch in enumerate(game.channels):
-            for l in range(1, N + 1):
-                exp_terms[mi, l] = sum(
-                    p * math.exp(-theta * r / l) for r, p in zip(ch.rates, ch.probs)
-                )
-        cum_exp = np.cumsum(exp_terms, axis=1)
+        cum_exp = _exp_term_table(game, theta, N)
 
     checked = 0
     epg_max = 0.0

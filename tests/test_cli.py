@@ -4,7 +4,7 @@ import json
 import pytest
 
 from specgame.cli import main
-from specgame.config import config_from_dict, config_to_dict, parse_config
+from specgame.config import PRESETS, config_from_dict, config_to_dict, parse_config
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -43,7 +43,22 @@ class TestAnalyze:
         assert analysis["potential_check"]["epg_max_abs_error"] <= 1e-9
         assert analysis["potential_check"]["opg_sign_disagreements"] == 0
         assert analysis["potential_maximizer"] in analysis["nash_profiles"]
-        assert "pure NE" in capsys.readouterr().out
+        assert "potential_note" not in analysis
+        printed = capsys.readouterr().out
+        assert "pure NE" in printed
+        assert "potential maximizer" in printed and "fair-share" not in printed
+
+    def test_slot_winner_maximizer_is_marked_fair_share(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["game"]["contention"] = "slot_winner"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert analysis["potential_maximizer"] is not None
+        assert "fair sharing" in analysis["potential_note"]
+        assert "(fair-share potential)" in capsys.readouterr().out
 
     def test_heterogeneous_game_analyzed_without_potential(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -280,6 +295,17 @@ class TestOde:
             for user in (1, 2):
                 total = sum(float(r[f"p_{user}_{m}"]) for m in (1, 2))
                 assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_preset_runs_analyze_and_ode(preset, tmp_path):
+    out = tmp_path / "out"
+    assert main(["analyze", "--preset", preset, "--out", str(out)]) == 0
+    analysis = json.loads((out / "analysis.json").read_text())
+    assert analysis["nash_count"] == len(analysis["nash_profiles"]) >= 1
+    argv = ["ode", "--preset", preset, "--iterations", "5", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(read_rows(out / "ode.csv")) == 6
 
 
 class TestErrors:

@@ -17,11 +17,14 @@ from specgame.game import (
     enumerate_nash,
     expected_rate_share,
     is_nash,
+    occupancy_vectors,
     ordinal_potential,
+    potential_maximizer,
     rosenthal_potential,
     shared_rate_distribution,
     surrogate_potential,
     surrogate_utility,
+    total_utility,
     user_rate_distribution,
     utility,
     verify_potentials,
@@ -234,6 +237,32 @@ class TestNash:
         with pytest.raises(ValueError, match="beyond the limit"):
             enumerate_nash(g)
 
+    def test_refuses_too_many_profiles_without_overflow(self):
+        """1100 users on twin channels: C(1100, 550) > 1e308 equilibria."""
+        g = GameSpec(thetas=(0.1,) * 1100, channels=twin_channel_game().channels)
+        with pytest.raises(ValueError, match="more than 1000000 profiles"):
+            enumerate_nash(g)
+
+    def test_refuses_too_many_states_before_scanning(self):
+        """Ten users with distinct exponents: 2**10 states fit, 5**10 do not."""
+        channels = tuple(
+            ChannelSpec(id=m, rates=(0.0, 2.0), probs=(0.5, 0.5)) for m in range(1, 6)
+        )
+        g = GameSpec(thetas=tuple(0.1 * k for k in range(1, 11)), channels=channels)
+        with pytest.raises(ValueError, match="9765625 occupancy states.*beyond the limit"):
+            enumerate_nash(g)
+
+    def test_classes_of_users_expand_to_every_profile(self):
+        """Two exponent classes on twin channels: each user alone or paired."""
+        g = GameSpec(
+            thetas=(0.1, 1.0, 0.1, 1.0), channels=twin_channel_game().channels
+        )
+        got = enumerate_nash(g)
+        assert got == sorted(got)
+        assert (1, 1, 2, 2) in got and (1, 2, 2, 1) in got
+        for prof in got:
+            assert is_nash(g, prof).is_nash
+
     def test_tie_tolerance_keeps_equal_payoffs_stable(self):
         """Identical channels never offer a strictly improving swap between
         symmetric slots."""
@@ -253,6 +282,34 @@ class TestNash:
                         continue
                     moved = prof[:n] + (b,) + prof[n + 1 :]
                     assert utility(g, moved, n) <= base + 1e-12
+
+
+class TestOccupancy:
+    def test_occupancy_vectors(self):
+        vecs = occupancy_vectors(3, 2)
+        assert vecs.tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
+        assert occupancy_vectors(8, 5).shape == (math.comb(12, 4), 5)
+        assert occupancy_vectors(4, 1).tolist() == [[4]]
+        assert (occupancy_vectors(6, 4).sum(axis=1) == 6).all()
+
+    def test_potential_maximizer_takes_the_first_of_tied_profiles(self):
+        g = twin_channel_game()
+        assert potential_maximizer(g) == (1, 2)
+
+    def test_potential_maximizer_needs_common_exponent(self):
+        g = GameSpec(thetas=(0.1, 0.2), channels=(TWO_STATE,))
+        with pytest.raises(ValueError, match="common QoS exponent"):
+            potential_maximizer(g)
+
+    def test_total_utility_is_the_utility_sum_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        g = random_game(rng, n_users=4, n_channels=3, contention=Contention.SLOT_WINNER)
+        profiles = list(itertools.product((1, 2, 3), repeat=4))
+        got = total_utility(g, profiles).tolist()
+        assert got == [sum(utility(g, p, u) for u in range(4)) for p in profiles]
+        assert total_utility(g, []).tolist() == []
+        with pytest.raises(ValueError, match="channel ids"):
+            total_utility(g, [(1, 2, 3, 4)])
 
 
 class TestBestResponsePath:
