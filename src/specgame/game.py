@@ -18,7 +18,6 @@ occupancy counts per exponent class, never all M**N profiles.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -319,13 +318,22 @@ def _exponent_classes(game: GameSpec) -> list[list[int]]:
 
 
 def occupancy_vectors(users: int, channels: int) -> np.ndarray:
-    """Every way to put `users` identical users on `channels` channels, as [S, M]."""
-    combos = list(itertools.combinations(range(users + channels - 1), channels - 1))
-    bars = np.array(combos, dtype=np.int64).reshape(len(combos), channels - 1)
-    edges = np.column_stack(
-        [np.full(len(bars), -1), bars, np.full(len(bars), users + channels - 1)]
-    )
-    return (np.diff(edges, axis=1) - 1).astype(np.int32)
+    """Every way to put `users` identical users on `channels` channels, as [S, M].
+
+    Rows are in lexicographic order, in the smallest unsigned type that holds
+    `users`. The table is built whole, not in chunks: about 2 * M + 12 bytes
+    per state at the peak of the build.
+    """
+    rows = np.zeros((1, 0), dtype=np.min_scalar_type(users))
+    left = np.array([users], dtype=np.int32)
+    for _ in range(channels - 1):
+        # each row branches on 0..left users for the next channel, ascending
+        parent = np.repeat(np.arange(len(rows), dtype=np.int32), left + 1)
+        put = np.arange(len(parent), dtype=np.int32)
+        put -= np.repeat(np.cumsum(left + 1, dtype=np.int32) - (left + 1), left + 1)
+        rows = np.column_stack([rows[parent], put.astype(rows.dtype)])
+        left = left[parent] - put
+    return np.column_stack([rows, left.astype(rows.dtype)])
 
 
 def _check_state_count(class_sizes: Sequence[int], channels: int) -> None:
@@ -374,7 +382,7 @@ def _equilibrium_states(
     radix = [len(occ) for occ in occupancy]
     edge = np.full((M, 1), -np.inf)
     padded = [np.hstack([edge, table, edge]) for table in tables]
-    # a state costs about 8 bytes per channel for each class's occupancy row
+    # a state costs at most 8 bytes per channel for each class's occupancy row
     # and for each of _improvable's eight work arrays
     chunk = max(1, SCAN_BYTES // (8 * M * (len(occupancy) + 8)))
     total = math.prod(radix)
@@ -387,7 +395,7 @@ def _equilibrium_states(
             digits.append(digit)
         digits.reverse()
         own = [occ[d] for occ, d in zip(occupancy, digits)]
-        counts = sum(own)
+        counts = np.add.reduce(own, dtype=np.int64)
         # drop a state as soon as one class can improve
         alive = np.arange(len(counts))
         for table, x in zip(padded, own):
@@ -436,7 +444,7 @@ def _expand(
         ways = np.zeros(len(occ))
         for key in np.flatnonzero(np.bincount(digits, minlength=len(occ))):
             # clamped, so that a huge count cannot overflow a float
-            ways[key] = min(_multinomial(occ[key]), PROFILE_LIMIT + 1)
+            ways[key] = min(_multinomial(occ[key].tolist()), PROFILE_LIMIT + 1)
         sizes *= ways[digits]
     if sizes.sum() > PROFILE_LIMIT:
         raise ValueError(
@@ -499,30 +507,39 @@ def potential_maximizer(game: GameSpec) -> ActionProfile:
     _check_state_count([N], M)
     states = occupancy_vectors(N, M)
     g = _exp_term_table(game, theta, N)
-    phi = _sum_columns(g[np.arange(M), states])
-    values = [-math.log(v) / theta for v in phi.tolist()]
-    best = max(values)
+    chunk = max(1, SCAN_BYTES // (16 * M))  # the gathered table terms and phi
+    best, ties = -math.inf, []
+    for start in range(0, len(states), chunk):
+        block = states[start : start + chunk]
+        phi = _sum_columns(g[np.arange(M), block])
+        # the potential falls as phi grows, so only states whose phi is within
+        # rounding of the least can reach or tie the largest potential
+        near = np.flatnonzero(phi <= phi.min() * (1 + 1e-9))
+        for x, v in zip(block[near], phi[near].tolist()):
+            value = -math.log(v) / theta  # ordinal_potential's own arithmetic
+            if value > best:
+                best, ties = value, [x]
+            elif value == best:
+                ties.append(x)
     # a state's first profile puts its users on channels in ascending order
-    return min(
-        tuple(np.repeat(np.arange(1, M + 1), x).tolist())
-        for x, v in zip(states, values)
-        if v == best
-    )
+    return min(tuple(np.repeat(np.arange(1, M + 1), x).tolist()) for x in ties)
 
 
-def total_utility(
-    game: GameSpec, profiles: Sequence[Sequence[int]], payoff: str = "capacity"
-) -> np.ndarray:
-    """Sum of the users' payoffs in each profile, read from the count tables.
+def total_utility(game: GameSpec, profiles: Sequence[Sequence[int]]) -> np.ndarray:
+    """Sum of the users' effective capacities in each profile, from the count tables.
 
     Added in user order, so each entry equals
     sum(utility(game, p, u) for u in range(N)) bit for bit.
     """
     N, M = game.n_users, game.n_channels
-    prof = np.asarray(profiles, dtype=np.int64).reshape(-1, N) - 1
-    if prof.size and (prof.min() < 0 or prof.max() >= M):
+    if len(profiles) == 0:
+        return np.zeros(0)
+    prof = np.array(profiles, dtype=np.int64) - 1
+    if prof.ndim != 2 or prof.shape[1] != N:
+        raise ValueError(f"each profile must list {N} channel ids")
+    if prof.min() < 0 or prof.max() >= M:
         raise ValueError(f"profile entries must be channel ids in 1..{M}")
-    tables = np.stack(_count_utility_tables(game, payoff))
+    tables = np.stack(_count_utility_tables(game, "capacity"))
     counts = np.stack([(prof == m).sum(axis=1) for m in range(M)], axis=1)
     own = np.take_along_axis(counts, prof, axis=1)
     return _sum_columns(tables[np.arange(N), prof, own - 1])

@@ -290,6 +290,10 @@ class TestOccupancy:
         assert vecs.tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
         assert occupancy_vectors(8, 5).shape == (math.comb(12, 4), 5)
         assert occupancy_vectors(4, 1).tolist() == [[4]]
+        assert occupancy_vectors(300, 2).dtype == np.uint16
+        big = occupancy_vectors(7, 4)
+        assert big.tolist() == sorted(big.tolist())
+        assert len({tuple(r) for r in big.tolist()}) == len(big) == math.comb(10, 3)
         assert (occupancy_vectors(6, 4).sum(axis=1) == 6).all()
 
     def test_potential_maximizer_takes_the_first_of_tied_profiles(self):
@@ -306,6 +310,10 @@ class TestOccupancy:
         assert total_utility(g, []).tolist() == []
         with pytest.raises(ValueError, match="channel ids"):
             total_utility(g, [(1, 3)])
+        # a profile of the wrong length is not read as several profiles
+        for bad in ([(1, 2, 1, 2)], [(1,)], [1, 2]):
+            with pytest.raises(ValueError, match="must list 2 channel ids"):
+                total_utility(g, bad)
 
 
 class TestBestResponsePath:

@@ -20,7 +20,6 @@ from specgame.game import (
     Contention,
     GameSpec,
     enumerate_nash,
-    ordinal_potential,
     potential_maximizer,
     total_utility,
 )
@@ -74,13 +73,12 @@ def test_aggregates_match_the_utility_sums(case):
     ]
 
 
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_potential_maximizer_matches_the_profile_scan(seed):
-    _, g = small_game(seed, common=True)
-    got = ordinal_potential(g, potential_maximizer(g))
-    want = ordinal_potential(g, brute_force.potential_maximizer(g))
-    assert got == pytest.approx(want, **CLOSE)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_potential_maximizer_matches_the_profile_scan(seed, twins):
+    _, g = small_game(seed, common=True, twins=twins)
+    # the same potential values, so ties resolve to the same first profile
+    assert potential_maximizer(g) == brute_force.potential_maximizer(g)
 
 
 @given(games)
