@@ -11,7 +11,7 @@ Library layout:
 - config / cli: JSON configs, presets, command line front end
 """
 
-from specgame.channels import ChannelSpec, mean_rate, rayleigh_state_probs, sample_realization
+from specgame.channels import ChannelSpec, rayleigh_state_probs, sample_realization
 from specgame.capacity import (
     RateDistribution,
     approx_utility,
@@ -29,7 +29,6 @@ __all__ = [
     "approx_utility",
     "effective_capacity",
     "empirical_effective_capacity",
-    "mean_rate",
     "payoff_transform",
     "rayleigh_state_probs",
     "sample_realization",

@@ -34,7 +34,11 @@ def _check_theta(theta: float) -> float:
 
 @dataclass(frozen=True)
 class RateDistribution:
-    """A finite distribution over service rates."""
+    """A finite distribution over service rates.
+
+    Every rate law in the package, channel laws included, is checked here:
+    probabilities lie in [0, 1] and sum to 1 within PROB_SUM_TOL.
+    """
 
     values: tuple[float, ...]
     probs: tuple[float, ...]
@@ -43,15 +47,13 @@ class RateDistribution:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
         if len(self.values) < 1:
-            raise ValueError("distribution needs at least one value")
+            raise ValueError("needs at least one rate")
         if len(self.values) != len(self.probs):
-            raise ValueError(
-                f"{len(self.values)} values but {len(self.probs)} probs"
-            )
+            raise ValueError(f"{len(self.values)} rates but {len(self.probs)} probs")
         if any(not math.isfinite(v) for v in self.values):
-            raise ValueError("values must be finite")
+            raise ValueError("rates must be finite")
         if len(set(self.values)) != len(self.values):
-            raise ValueError("values must be distinct")
+            raise ValueError("rates must be distinct")
         if any(not 0.0 <= p <= 1.0 for p in self.probs):
             raise ValueError("probs must lie in [0, 1]")
         total = math.fsum(self.probs)

@@ -2,20 +2,20 @@
 
 A channel is a discrete distribution over transmission rates (packets/slot).
 State probabilities can be given directly or derived from an average SNR and
-a set of ascending SNR thresholds under Rayleigh fading.
+a set of ascending SNR thresholds under Rayleigh fading (config.snr_channel).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-PROB_SUM_TOL = 1e-9
+from specgame.capacity import RateDistribution
 
 
 @dataclass(frozen=True)
@@ -25,46 +25,36 @@ class ChannelSpec:
     Args:
         id: channel index, 1-based.
         rates: K distinct non-negative rates in ascending order.
-        probs: K probabilities in [0, 1] summing to 1 (within 1e-9).
+        probs: K state probabilities, checked by RateDistribution.
+
+    `law` is the channel's RateDistribution, built and checked once.
     """
 
     id: int
     rates: tuple[float, ...]
     probs: tuple[float, ...]
+    law: RateDistribution = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.id < 1:
             raise ValueError(f"channel id must be >= 1, got {self.id}")
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        if len(self.rates) < 1:
-            raise ValueError("channel needs at least one rate state")
-        if len(self.rates) != len(self.probs):
-            raise ValueError(
-                f"channel {self.id}: {len(self.rates)} rates but {len(self.probs)} probs"
-            )
         if any(r < 0 for r in self.rates):
             raise ValueError(f"channel {self.id}: rates must be non-negative")
         if any(b <= a for a, b in zip(self.rates, self.rates[1:])):
             raise ValueError(f"channel {self.id}: rates must be distinct and ascending")
-        if any(not 0.0 <= p <= 1.0 for p in self.probs):
-            raise ValueError(f"channel {self.id}: probs must lie in [0, 1]")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(
-                f"channel {self.id}: probs sum to {total!r}, expected 1 within {PROB_SUM_TOL}"
-            )
+        try:
+            law = RateDistribution(self.rates, self.probs)
+        except ValueError as err:
+            raise ValueError(f"channel {self.id}: {err}") from err
+        object.__setattr__(self, "law", law)
 
     @cached_property
     def _cum_probs(self) -> tuple[float, ...]:
         cum = np.cumsum(self.probs)
         cum[-1] = 1.0
         return tuple(cum)
-
-
-def mean_rate(spec: ChannelSpec) -> float:
-    """Expected rate of the channel."""
-    return float(np.dot(spec.rates, spec.probs))
 
 
 def rayleigh_state_probs(avg_snr_db: float, thresholds: Sequence[float]) -> tuple[float, ...]:
@@ -93,21 +83,6 @@ def rayleigh_state_probs(avg_snr_db: float, thresholds: Sequence[float]) -> tupl
     gamma_bar = 10.0 ** (avg_snr_db / 10.0)
     tail = [math.exp(-t / gamma_bar) for t in thr]
     return tuple(tail[k] - tail[k + 1] for k in range(len(thr) - 1))
-
-
-def spec_from_snr(
-    id: int,
-    rates: Sequence[float],
-    avg_snr_db: float,
-    thresholds_db: Sequence[float],
-) -> ChannelSpec:
-    """Build a ChannelSpec from an average SNR and K-1 interior thresholds in dB.
-
-    The implicit outer thresholds are 0 and +inf (linear scale).
-    """
-    interior = [10.0 ** (t / 10.0) for t in thresholds_db]
-    probs = rayleigh_state_probs(avg_snr_db, [0.0, *interior, math.inf])
-    return ChannelSpec(id=id, rates=tuple(rates), probs=probs)
 
 
 def sample_realization(

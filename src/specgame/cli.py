@@ -72,11 +72,6 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
-def _read_csv(path: Path) -> list[dict]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def _write_resolved(cfg: ExperimentConfig, out: Path) -> None:
     text = json.dumps(config_to_dict(cfg), indent=2) + "\n"
     (out / "resolved_config.json").write_text(text, encoding="utf-8")
@@ -161,39 +156,30 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _trace_rows(traces, thetas):
-    slots, n, m = traces.p.shape
-    for slot in range(slots):
-        for user in range(n):
-            action = int(traces.actions[slot, user])
+def _trace_rows(traces):
+    p, q = traces.p.tolist(), traces.q.tolist()
+    m = traces.p.shape[2]
+    for slot, (actions, payoffs) in enumerate(
+        zip(traces.actions.tolist(), traces.payoffs.tolist())
+    ):
+        for user, action in enumerate(actions):
             for channel in range(1, m + 1):
-                payoff = (
-                    float(traces.payoffs[slot, user]) if channel == action else None
-                )
                 yield (
                     slot + 1,
                     user + 1,
                     channel,
-                    float(traces.p[slot, user, channel - 1]),
-                    float(traces.q[slot, user, channel - 1]),
-                    payoff,
+                    p[slot][user][channel - 1],
+                    q[slot][user][channel - 1],
+                    payoffs[user] if channel == action else None,
                 )
 
 
-def _aggregate_series(rows, thetas):
-    """Running aggregate empirical capacity from trace rows."""
-    n = len(thetas)
-    slots = max(int(r["slot"]) for r in rows)
-    payoff = np.zeros((slots, n))
-    for r in rows:
-        if r["payoff"]:
-            payoff[int(r["slot"]) - 1, int(r["user"]) - 1] = float(r["payoff"])
+def _running_aggregate(payoffs: np.ndarray, thetas) -> np.ndarray:
+    """Aggregate empirical capacity over slots 1..t, for every t."""
     thetas_arr = np.asarray(thetas)
-    cummean = np.cumsum(np.exp(-thetas_arr * payoff), axis=0) / np.arange(
-        1, slots + 1
-    ).reshape(-1, 1)
-    agg = (-np.log(cummean) / thetas_arr).sum(axis=1)
-    return list(range(1, slots + 1)), agg.tolist()
+    slots = np.arange(1, len(payoffs) + 1).reshape(-1, 1)
+    cummean = np.cumsum(np.exp(-thetas_arr * payoffs), axis=0) / slots
+    return (-np.log(cummean) / thetas_arr).sum(axis=1)
 
 
 def cmd_learn(args) -> int:
@@ -204,7 +190,7 @@ def cmd_learn(args) -> int:
     _write_csv(
         out / "trace.csv",
         ("slot", "user", "channel", "p", "q", "payoff"),
-        _trace_rows(result.traces, sim.game.thetas),
+        _trace_rows(result.traces),
     )
     final_p = result.traces.p[-1]
     _write_csv(
@@ -223,17 +209,17 @@ def cmd_learn(args) -> int:
     )
     _write_resolved(cfg, out)
     if cfg.plot:
-        rows = _read_csv(out / "trace.csv")
+        traces = result.traces
         (out / "probability.svg").write_text(
-            probability_chart(rows, user=0), encoding="utf-8"
+            probability_chart(traces.p, user=0), encoding="utf-8"
         )
         if sim.algorithm == "learn":
             (out / "estimates.svg").write_text(
-                estimate_chart(rows, user=0), encoding="utf-8"
+                estimate_chart(traces.q, user=0), encoding="utf-8"
             )
-        slots, agg = _aggregate_series(rows, sim.game.thetas)
+        agg = _running_aggregate(traces.payoffs, sim.game.thetas)
         (out / "aggregate.svg").write_text(
-            aggregate_chart(slots, agg), encoding="utf-8"
+            aggregate_chart(range(1, len(agg) + 1), agg.tolist()), encoding="utf-8"
         )
     conv = "never" if result.conv_slot is None else f"slot {result.conv_slot}"
     profile = "|".join(str(a) for a in result.profile)
@@ -278,15 +264,15 @@ def cmd_experiment(args) -> int:
         _write_csv(
             out / "trace.csv",
             ("slot", "user", "channel", "p", "q", "payoff"),
-            _trace_rows(traced.traces, sim.game.thetas),
+            _trace_rows(traced.traces),
         )
     if cfg.plot:
-        rows = _read_csv(out / "trials.csv")
+        results = summary.results
         (out / "aggregate_ec.svg").write_text(
             trials_chart(
-                [int(r["trial"]) for r in rows],
-                [float(r["agg_ec_closed"]) for r in rows],
-                [float(r["agg_ec_empirical"]) for r in rows],
+                [r.trial for r in results],
+                [r.agg_ec_closed for r in results],
+                [r.agg_ec_empirical for r in results],
             ),
             encoding="utf-8",
         )
@@ -334,13 +320,12 @@ def cmd_sweep(args) -> int:
     )
     _write_resolved(cfg, out)
     if cfg.plot:
-        rows = _read_csv(out / "sweep.csv")
         (out / "sweep.svg").write_text(
             sweep_chart(
                 cfg.sweep_variable,
-                [float(r["value"]) for r in rows],
-                [float(r["mean_agg_closed"]) for r in rows],
-                [float(r["std_agg_closed"]) for r in rows],
+                [pt.value for pt in points],
+                [pt.summary.mean_agg_closed for pt in points],
+                [pt.summary.std_agg_closed for pt in points],
             ),
             encoding="utf-8",
         )
@@ -380,12 +365,11 @@ def cmd_ode(args) -> int:
     )
     _write_resolved(cfg, out)
     if cfg.plot:
-        rows = _read_csv(out / "ode.csv")
         (out / "potential.svg").write_text(
             potential_chart(
-                [int(r["step"]) for r in rows],
-                [float(r["phi"]) if r["phi"] else math.nan for r in rows],
-                [float(r["max_rhs"]) for r in rows],
+                range(len(traj.potentials)),
+                traj.potentials.tolist(),
+                traj.max_rhs.tolist(),
             ),
             encoding="utf-8",
         )
@@ -427,11 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--iterations", type=int, help="override slots (or ODE steps)"
         )
         sp.add_argument("--plot", action="store_true", help="also render SVG charts")
-        sp.add_argument(
-            "--trace", action="store_true", help="write per-slot trace CSV"
-        )
         sp.add_argument("--out", type=Path, help="output directory")
         sp.set_defaults(func=func)
+        if name == "experiment":
+            sp.add_argument(
+                "--trace", action="store_true", help="also trace trial 0 to trace.csv"
+            )
     return parser
 
 

@@ -35,14 +35,16 @@ class ConfigError(ValueError):
     """A config file failed validation; the message carries the key path."""
 
 
-def snr_channel(id: int, avg_snr_db: float, rates=RATE_STEPS) -> ChannelSpec:
-    """A rate-adaptive fading channel at the given average SNR."""
-    probs = rayleigh_state_probs(avg_snr_db, (0.0, *SNR_THRESHOLDS, math.inf))
-    return ChannelSpec(id=id, rates=tuple(float(r) for r in rates), probs=probs)
+def snr_channel(
+    id: int, avg_snr_db: float, rates=RATE_STEPS, thresholds=SNR_THRESHOLDS
+) -> ChannelSpec:
+    """A rate-adaptive Rayleigh-fading channel at the given average SNR.
 
-
-def preset_channels(snrs_db=(5.0, 6.0, 7.0, 8.0, 9.0)) -> tuple[ChannelSpec, ...]:
-    return tuple(snr_channel(i + 1, s) for i, s in enumerate(snrs_db))
+    `thresholds` are the interior SNR band edges (linear scale) between the
+    states of `rates`; the outer edges are 0 and +inf.
+    """
+    probs = rayleigh_state_probs(avg_snr_db, (0.0, *thresholds, math.inf))
+    return ChannelSpec(id=id, rates=rates, probs=probs)
 
 
 @dataclass(frozen=True)
@@ -107,22 +109,17 @@ def _parse_channel(data, index: int) -> ChannelSpec:
         raise ConfigError(
             f"game.channels[{index}]: give exactly one of probs or avg_snr_db"
         )
-    if probs is None:
-        if thresholds_db is None:
-            thresholds = SNR_THRESHOLDS
-        else:
-            thresholds = tuple(10.0 ** (float(t) / 10.0) for t in thresholds_db)
-        probs = rayleigh_state_probs(snr, (0.0, *thresholds, math.inf))
-    elif thresholds_db is not None:
+    if probs is not None and thresholds_db is not None:
         raise ConfigError(
             f"game.channels[{index}]: thresholds_db only applies with avg_snr_db"
         )
     try:
-        return ChannelSpec(
-            id=id,
-            rates=tuple(float(r) for r in rates),
-            probs=tuple(float(p) for p in probs),
-        )
+        if probs is not None:
+            return ChannelSpec(id=id, rates=rates, probs=probs)
+        thresholds = SNR_THRESHOLDS
+        if thresholds_db is not None:
+            thresholds = tuple(10.0 ** (float(t) / 10.0) for t in thresholds_db)
+        return snr_channel(id, snr, rates, thresholds)
     except ValueError as err:
         raise ConfigError(f"game.channels[{index}]: {err}") from err
 

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from specgame.game import GameSpec, _count_utility_tables, _exp_term_table
-
-SIMPLEX_TOL = 1e-9
+from specgame.learning import check_simplex_rows
 
 
 def check_mixed_profile(game: GameSpec, strategies) -> np.ndarray:
@@ -29,11 +28,7 @@ def check_mixed_profile(game: GameSpec, strategies) -> np.ndarray:
             f"expected a {game.n_users} x {game.n_channels} strategy array, "
             f"got shape {p.shape}"
         )
-    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
-        raise ValueError("strategy rows must be finite and non-negative")
-    err = np.abs(p.sum(axis=1) - 1.0).max()
-    if err > SIMPLEX_TOL:
-        raise ValueError(f"strategy rows drift off the simplex by {err:.3e}")
+    check_simplex_rows(p)
     return p
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from specgame.capacity import RateDistribution, approx_utility, effective_capacity
-from specgame.channels import ChannelSpec, mean_rate
+from specgame.channels import ChannelSpec
 
 ActionProfile = tuple[int, ...]
 
@@ -163,7 +163,7 @@ def expected_rate_share(game: GameSpec, profile: Sequence[int], user: int) -> fl
     prof = validate_profile(game, profile)
     counts = congestion_counts(prof, game.n_channels)
     channel = game.channels[prof[user] - 1]
-    return mean_rate(channel) / counts[prof[user] - 1]
+    return channel.law.mean() / counts[prof[user] - 1]
 
 
 def rosenthal_potential(game: GameSpec, profile: Sequence[int]) -> float:
@@ -172,7 +172,7 @@ def rosenthal_potential(game: GameSpec, profile: Sequence[int]) -> float:
     counts = congestion_counts(prof, game.n_channels)
     total = 0.0
     for ch, c in zip(game.channels, counts):
-        mr = mean_rate(ch)
+        mr = ch.law.mean()
         total += sum(mr / l for l in range(1, c + 1))
     return total
 
@@ -651,7 +651,7 @@ def verify_potentials(
 
     theta = game.homogeneous_theta()
     cap_tables = _count_utility_tables(game, "capacity")
-    means = np.array([mean_rate(ch) for ch in game.channels])
+    means = np.array([ch.law.mean() for ch in game.channels])
     cum_share = np.zeros((M, N + 1))
     cum_share[:, 1:] = np.cumsum(means[:, None] / np.arange(1, N + 1)[None, :], axis=1)
     if theta is not None:

@@ -44,9 +44,6 @@ class StepSchedule:
     def lambda_at(self, slot: int) -> float:
         return 1.0 / (slot + 1) if self.lam is None else self.lam
 
-    def eta_at(self, slot: int) -> float:
-        return self.eta
-
 
 def check_simplex_rows(p: np.ndarray) -> None:
     """Raise ValueError unless every row of p (its last axis) is a distribution."""
@@ -145,18 +142,17 @@ def update_probabilities(state: LearnerState, schedule: StepSchedule) -> Learner
     Computed as exp(Q log(1+eta)) with the row max subtracted, so large Q
     (small theta) cannot overflow.
     """
-    log_gain = state.q * math.log1p(schedule.eta_at(state.slot))
+    log_gain = state.q * math.log1p(schedule.eta)
     w = state.p * np.exp(log_gain - log_gain.max(axis=1, keepdims=True))
     p = w / w.sum(axis=1, keepdims=True)
     return replace(state, p=p, slot=state.slot + 1)
 
 
-def is_converged(state, epsilon: float = 0.01) -> bool:
+def is_converged(p: np.ndarray, epsilon: float = 0.01) -> bool:
     """True when every user concentrates: max_m p_nm >= 1 - epsilon.
 
-    Accepts a LearnerState, an SLAState, or a bare N x M array.
+    p is the N x M strategy array, one row per user.
     """
-    p = state.p if hasattr(state, "p") else np.asarray(state)
     return bool(np.all(p.max(axis=1) >= 1.0 - epsilon))
 
 

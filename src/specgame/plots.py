@@ -1,9 +1,11 @@
 """Static SVG line charts.
 
 Written by hand instead of through a plotting library so the output is a
-pure function of the input rows: rendering the same CSV twice yields the
-same bytes, which the artifact tests rely on. Only positional text and
-polylines are used; no fonts are embedded and no scripts are emitted.
+pure function of the input numbers: the same values render to the same
+bytes whether they come from memory or are parsed back from the CSVs the
+commands write (`repr` floats round-trip exactly), which the artifact tests
+rely on. Only positional text and polylines are used; no fonts are embedded
+and no scripts are emitted.
 """
 
 from __future__ import annotations
@@ -168,45 +170,26 @@ def line_chart(
     return "\n".join(parts) + "\n"
 
 
-def probability_chart(trace_rows, user: int) -> str:
+def probability_chart(p, user: int) -> str:
     """Per-channel selection probabilities of one user over slots.
 
-    `trace_rows` are dicts with slot/user/channel/p keys, one per
-    (slot, user, channel), as read back from a trace CSV.
+    `p` is a [slots, N, M] array holding the post-update strategies.
     """
     return _per_channel_chart(
-        trace_rows,
-        user,
-        field="p",
-        title=f"Channel selection probabilities, user {user + 1}",
-        y_label="probability",
+        p, user, f"Channel selection probabilities, user {user + 1}", "probability"
     )
 
 
-def estimate_chart(trace_rows, user: int) -> str:
-    """Per-channel payoff estimates of one user over slots."""
-    return _per_channel_chart(
-        trace_rows,
-        user,
-        field="q",
-        title=f"Payoff estimates, user {user + 1}",
-        y_label="estimate",
-    )
+def estimate_chart(q, user: int) -> str:
+    """Per-channel payoff estimates of one user over slots, from [slots, N, M]."""
+    return _per_channel_chart(q, user, f"Payoff estimates, user {user + 1}", "estimate")
 
 
-def _per_channel_chart(trace_rows, user, field, title, y_label) -> str:
-    by_channel: dict[int, tuple[list, list]] = {}
-    for row in trace_rows:
-        if int(row["user"]) != user + 1:
-            continue
-        xs, ys = by_channel.setdefault(int(row["channel"]), ([], []))
-        xs.append(float(row["slot"]))
-        ys.append(float(row[field]))
-    if not by_channel:
-        raise ValueError(f"trace has no rows for user {user + 1}")
+def _per_channel_chart(values, user, title, y_label) -> str:
+    slots = range(1, len(values) + 1)
     series = [
-        Series(label=f"channel {ch}", xs=xs, ys=ys)
-        for ch, (xs, ys) in sorted(by_channel.items())
+        Series(label=f"channel {m + 1}", xs=slots, ys=values[:, user, m].tolist())
+        for m in range(values.shape[2])
     ]
     return line_chart(series, title, "slot", y_label)
 
@@ -222,7 +205,7 @@ def aggregate_chart(slots, aggregates) -> str:
 
 
 def trials_chart(trials, closed, empirical) -> str:
-    """Per-trial aggregate capacities from a trials CSV."""
+    """Per-trial aggregate capacities, closed form and empirical."""
     return line_chart(
         [
             Series(label="closed form", xs=list(trials), ys=list(closed)),

@@ -213,7 +213,7 @@ def test_criterion_07_fig2_convergence():
     baseline = run_experiment(replace(sim, algorithm="random"))
     theta = sim.game.thetas[0]
     solo_sum = sum(
-        effective_capacity(RateDistribution(ch.rates, ch.probs), theta)
+        effective_capacity(ch.law, theta)
         for ch in sim.game.channels
     )
     converged = [r.agg_ec_closed for r in learned.results if r.conv_slot is not None]

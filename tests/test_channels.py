@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgame.channels import (
-    ChannelSpec,
-    mean_rate,
-    rayleigh_state_probs,
-    sample_realization,
-    spec_from_snr,
-)
+from specgame.channels import ChannelSpec, rayleigh_state_probs, sample_realization
+from specgame.config import config_from_dict
 
 RATES_5STATE = (0.0, 1.0, 2.0, 3.0, 6.0)
 # Widely quoted 5-state probabilities for a 5 dB HIPERLAN/2-style channel.
@@ -35,7 +30,7 @@ class TestChannelSpec:
             ChannelSpec(id=1, rates=(), probs=())
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="2 rates but 1 probs"):
+        with pytest.raises(ValueError, match="^channel 1: 2 rates but 1 probs"):
             ChannelSpec(id=1, rates=(0, 1), probs=(1.0,))
 
     def test_rejects_descending_rates(self):
@@ -55,8 +50,8 @@ class TestChannelSpec:
             ChannelSpec(id=1, rates=(0, 1), probs=(-0.1, 1.1))
 
     def test_rejects_bad_prob_sum(self):
-        with pytest.raises(ValueError, match="sum"):
-            ChannelSpec(id=1, rates=(0, 1), probs=(0.5, 0.4))
+        with pytest.raises(ValueError, match="^channel 3: probs sum to"):
+            ChannelSpec(id=3, rates=(0, 1), probs=(0.5, 0.4))
         # the raw published 5 dB vector (sum 1.0018) is likewise rejected
         with pytest.raises(ValueError, match="sum"):
             ChannelSpec(id=1, rates=RATES_5STATE, probs=PROBS_5DB_RAW)
@@ -72,10 +67,10 @@ class TestMeanRate:
         spec = ChannelSpec(
             id=1, rates=RATES_5STATE, probs=tuple(p / total for p in PROBS_5DB_RAW)
         )
-        assert mean_rate(spec) == pytest.approx(1.2773 / total, rel=1e-12)
+        assert spec.law.mean() == pytest.approx(1.2773 / total, rel=1e-12)
 
     def test_degenerate(self):
-        assert mean_rate(ChannelSpec(id=1, rates=(3.0,), probs=(1.0,))) == 3.0
+        assert ChannelSpec(id=1, rates=(3.0,), probs=(1.0,)).law.mean() == 3.0
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0))
     @settings(max_examples=50, deadline=None)
@@ -84,7 +79,7 @@ class TestMeanRate:
         rates = tuple(np.cumsum(rng.uniform(0.05, 2.0, size=k)))
         probs = tuple(rng.dirichlet(np.ones(k)))
         spec = ChannelSpec(id=1, rates=rates, probs=probs)
-        assert rates[0] - 1e-12 <= mean_rate(spec) <= rates[-1] + 1e-12
+        assert rates[0] - 1e-12 <= spec.law.mean() <= rates[-1] + 1e-12
 
 
 class TestRayleighStateProbs:
@@ -128,7 +123,17 @@ class TestRayleighStateProbs:
 
 class TestSpecFromSnr:
     def test_matches_direct_call(self):
-        spec = spec_from_snr(2, RATES_5STATE, 6.0, [1.0, 4.0, 7.0, 14.0])
+        """A config channel's thresholds_db are interior band edges in dB."""
+        channels = [
+            {"rates": [0.0], "probs": [1.0]},
+            {
+                "rates": list(RATES_5STATE),
+                "avg_snr_db": 6.0,
+                "thresholds_db": [1.0, 4.0, 7.0, 14.0],
+            },
+        ]
+        cfg = config_from_dict({"game": {"theta": 0.1, "n_users": 1, "channels": channels}})
+        spec = cfg.sim.game.channels[1]
         direct = rayleigh_state_probs(
             6.0, [0.0, 10 ** 0.1, 10 ** 0.4, 10 ** 0.7, 10 ** 1.4, math.inf]
         )

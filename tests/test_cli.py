@@ -1,10 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from specgame.cli import main
 from specgame.config import PRESETS, config_from_dict, config_to_dict, parse_config
+from specgame.plots import Series, line_chart
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -329,7 +331,125 @@ class TestErrors:
         assert main(["analyze", "--config", str(bad)]) == 2
         assert "malformed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "learn", "sweep", "ode"])
+    def test_trace_is_only_an_experiment_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "fig2", "--trace"])
+        assert exc.value.code == 2
+        assert "--trace" in capsys.readouterr().err
+
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--preset", "fig9"])
         assert exc.value.code == 2
+
+
+class TestChartsMatchTheirCsvs:
+    """Each --plot chart equals the one drawn from the CSVs the same run wrote.
+
+    The commands chart their in-memory results. Here the CSVs are parsed
+    back, each series is rebuilt by hand and drawn with line_chart; the CSVs
+    hold repr floats, which parse back to the same floats.
+    """
+
+    def test_learn(self, tmp_path):
+        cfg = write_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["game"] = {"thetas": [0.01, 0.5], "channels": data["game"]["channels"]}
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["learn", "--config", str(cfg), "--plot", "--out", str(out)]) == 0
+        rows = read_rows(out / "trace.csv")
+        slots = max(int(r["slot"]) for r in rows)
+        xs = [float(s) for s in range(1, slots + 1)]
+        for name, field, title, y_label in (
+            ("probability.svg", "p", "Channel selection probabilities, user 1", "probability"),
+            ("estimates.svg", "q", "Payoff estimates, user 1", "estimate"),
+        ):
+            series = [
+                Series(
+                    f"channel {ch}",
+                    xs,
+                    [float(r[field]) for r in rows if r["user"] == "1" and r["channel"] == ch],
+                )
+                for ch in ("1", "2")
+            ]
+            expected = line_chart(series, title, "slot", y_label)
+            assert (out / name).read_text(encoding="utf-8") == expected
+
+        thetas = np.array([0.01, 0.5])
+        payoff = np.zeros((slots, 2))
+        for r in rows:
+            if r["payoff"]:
+                payoff[int(r["slot"]) - 1, int(r["user"]) - 1] = float(r["payoff"])
+        mean_exp = np.cumsum(np.exp(-thetas * payoff), axis=0) / np.arange(1, slots + 1)[:, None]
+        agg = (-np.log(mean_exp) / thetas).sum(axis=1)
+        expected = line_chart(
+            [Series("aggregate", xs, agg.tolist())],
+            "Aggregate effective capacity",
+            "slot",
+            "packets per slot",
+        )
+        assert (out / "aggregate.svg").read_text(encoding="utf-8") == expected
+
+    def test_experiment(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--plot", "--out", str(out)]) == 0
+        rows = read_rows(out / "trials.csv")
+        trials = [int(r["trial"]) for r in rows]
+        expected = line_chart(
+            [
+                Series("closed form", trials, [float(r["agg_ec_closed"]) for r in rows]),
+                Series("empirical", trials, [float(r["agg_ec_empirical"]) for r in rows]),
+            ],
+            "Aggregate effective capacity by trial",
+            "trial",
+            "packets per slot",
+        )
+        assert (out / "aggregate_ec.svg").read_text(encoding="utf-8") == expected
+
+    def test_sweep(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            trials=3,
+            iterations=60,
+            sweep={"variable": "users", "values": [2, 3, 5]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--plot", "--out", str(out)]) == 0
+        rows = read_rows(out / "sweep.csv")
+        values = [float(r["value"]) for r in rows]
+        means = [float(r["mean_agg_closed"]) for r in rows]
+        stds = [float(r["std_agg_closed"]) for r in rows]
+        expected = line_chart(
+            [
+                Series("mean", values, means),
+                Series("mean + std", values, [m + s for m, s in zip(means, stds)]),
+                Series("mean - std", values, [m - s for m, s in zip(means, stds)]),
+            ],
+            "Aggregate effective capacity vs users",
+            "users",
+            "packets per slot",
+        )
+        assert (out / "sweep.svg").read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("thetas", [[0.01, 0.01], [0.01, 0.5]])
+    def test_ode(self, tmp_path, thetas):
+        cfg = write_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["game"] = {"thetas": thetas, "channels": data["game"]["channels"]}
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = ["ode", "--config", str(cfg), "--iterations", "120", "--plot", "--out", str(out)]
+        assert main(argv) == 0
+        rows = read_rows(out / "ode.csv")
+        steps = [int(r["step"]) for r in rows]
+        if all(r["phi"] for r in rows):
+            series = Series("potential", steps, [float(r["phi"]) for r in rows])
+        else:
+            # no common exponent: no potential, the chart shows the motion
+            assert not any(r["phi"] for r in rows)
+            series = Series("max |dP/dt|", steps, [float(r["max_rhs"]) for r in rows])
+        expected = line_chart([series], "Flow diagnostics", "step", "value")
+        assert (out / "potential.svg").read_text(encoding="utf-8") == expected

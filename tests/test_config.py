@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from specgame.channels import mean_rate
 from specgame.config import (
     PRESETS,
     RATE_STEPS,
@@ -12,7 +11,6 @@ from specgame.config import (
     config_from_dict,
     config_to_dict,
     parse_config,
-    preset_channels,
     preset_config,
     snr_channel,
 )
@@ -121,6 +119,17 @@ class TestRejection:
         with pytest.raises(ConfigError, match="thresholds_db"):
             config_from_dict(data)
 
+    def test_bad_thresholds_are_config_errors(self):
+        data = minimal()
+        channel = {"id": 2, "rates": [0.0, 1.0, 6.0], "avg_snr_db": 5.0}
+        data["game"]["channels"][1] = channel
+        channel["thresholds_db"] = [4.0, 1.0]
+        with pytest.raises(ConfigError, match=r"channels\[1\]: thresholds must be .*ascending"):
+            config_from_dict(data)
+        channel["thresholds_db"] = ["low", 4.0]
+        with pytest.raises(ConfigError, match=r"channels\[1\]"):
+            config_from_dict(data)
+
     def test_wrong_type_reports_path(self):
         data = minimal()
         data["trials"] = "many"
@@ -212,11 +221,11 @@ class TestChannels:
             assert sum(snr_channel(1, snr).probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_rate_grows_with_snr(self):
-        means = [mean_rate(c) for c in preset_channels()]
+        means = [c.law.mean() for c in preset_config("fig2").sim.game.channels]
         assert all(b > a for a, b in zip(means, means[1:]))
 
     def test_preset_channel_ids_ascend(self):
-        assert [c.id for c in preset_channels()] == [1, 2, 3, 4, 5]
+        assert [c.id for c in preset_config("fig2").sim.game.channels] == [1, 2, 3, 4, 5]
 
     def test_thresholds_ascend(self):
         assert all(b > a for a, b in zip(SNR_THRESHOLDS, SNR_THRESHOLDS[1:]))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_game
-from specgame.channels import ChannelSpec, mean_rate
+from specgame.channels import ChannelSpec
 from specgame.game import (
     BestResponseLimitError,
     Contention,
@@ -97,8 +97,8 @@ class TestRateDistributions:
         for c in (1, 2, 3, 5):
             fair = shared_rate_distribution(TWO_STATE, c, Contention.FAIR_SHARE)
             winner = shared_rate_distribution(TWO_STATE, c, Contention.SLOT_WINNER)
-            assert fair.mean() == pytest.approx(mean_rate(TWO_STATE) / c, rel=1e-12)
-            assert winner.mean() == pytest.approx(mean_rate(TWO_STATE) / c, rel=1e-12)
+            assert fair.mean() == pytest.approx(TWO_STATE.law.mean() / c, rel=1e-12)
+            assert winner.mean() == pytest.approx(TWO_STATE.law.mean() / c, rel=1e-12)
 
     def test_user_rate_distribution_uses_profile(self):
         g = twin_channel_game()

@@ -27,7 +27,7 @@ class TestStepSchedule:
         s = StepSchedule()
         assert s.lambda_at(0) == 1.0
         assert s.lambda_at(9) == pytest.approx(0.1)
-        assert s.eta_at(123) == 0.1
+        assert s.eta == 0.1
 
     def test_constant_lambda(self):
         s = StepSchedule(eta=0.2, lam=0.05)
