@@ -49,6 +49,8 @@ from specgame.simulator import run_experiment, run_trial, sweep, trial_rng
 
 ODE_DT = 0.02
 
+TRACE_CHUNK = 128  # slots of trace.csv joined and written at once
+
 FAIR_SHARE_NOTE = (
     "potential_maximizer maximizes the ordinal potential, which follows fair "
     "sharing; this game uses slot_winner contention, so the maximizer need "
@@ -113,7 +115,7 @@ def cmd_analyze(args) -> int:
     out = _out_dir(cfg)
     profiles = enumerate_nash(game)
     aggregates = total_utility(game, profiles).tolist()
-    report = verify_potentials(game, rng=np.random.default_rng(cfg.sim.base_seed))
+    report = verify_potentials(game)
     maximizer = None
     if game.homogeneous_theta() is not None:
         maximizer = potential_maximizer(game)
@@ -156,22 +158,31 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _trace_rows(traces):
-    p, q = traces.p.tolist(), traces.q.tolist()
-    m = traces.p.shape[2]
-    for slot, (actions, payoffs) in enumerate(
-        zip(traces.actions.tolist(), traces.payoffs.tolist())
-    ):
-        for user, action in enumerate(actions):
-            for channel in range(1, m + 1):
-                yield (
-                    slot + 1,
-                    user + 1,
-                    channel,
-                    p[slot][user][channel - 1],
-                    q[slot][user][channel - 1],
-                    payoffs[user] if channel == action else None,
-                )
+def _reprs(values: np.ndarray) -> list[str]:
+    """float.__repr__ of every entry, in C order, as _fmt writes a float."""
+    return repr(values.ravel().tolist())[1:-1].split(", ")
+
+
+def _write_trace(path: Path, traces) -> None:
+    """trace.csv, with the bytes _write_csv would give, built column by column.
+
+    Rows go slot by slot, then user, then channel; `payoff` is filled on the
+    row of the channel the user took. Each TRACE_CHUNK slots are joined and
+    written at once, which bounds the strings held in memory.
+    """
+    _, n, m = traces.p.shape
+    cells = [f"{u},{c}" for u in range(1, n + 1) for c in range(1, m + 1)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("slot,user,channel,p,q,payoff\n")
+        for start in range(0, len(traces.p), TRACE_CHUNK):
+            chunk = slice(start, start + TRACE_CHUNK)
+            actions = traces.actions[chunk].ravel()
+            payoff = np.full(actions.size * m, "", dtype=object)
+            payoff[np.arange(actions.size) * m + actions - 1] = _reprs(traces.payoffs[chunk])
+            slots = range(start + 1, start + len(traces.p[chunk]) + 1)
+            prefix = [f"{s},{cell}" for s in slots for cell in cells]
+            rows = zip(prefix, _reprs(traces.p[chunk]), _reprs(traces.q[chunk]), payoff.tolist())
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _running_aggregate(payoffs: np.ndarray, thetas) -> np.ndarray:
@@ -187,11 +198,7 @@ def cmd_learn(args) -> int:
     sim = replace(cfg.sim, collect_traces=True)
     out = _out_dir(cfg)
     result = run_trial(sim, 0)
-    _write_csv(
-        out / "trace.csv",
-        ("slot", "user", "channel", "p", "q", "payoff"),
-        _trace_rows(result.traces),
-    )
+    _write_trace(out / "trace.csv", result.traces)
     final_p = result.traces.p[-1]
     _write_csv(
         out / "users.csv",
@@ -261,11 +268,7 @@ def cmd_experiment(args) -> int:
     _write_resolved(cfg, out)
     if args.trace:
         traced = run_trial(replace(sim, collect_traces=True), 0)
-        _write_csv(
-            out / "trace.csv",
-            ("slot", "user", "channel", "p", "q", "payoff"),
-            _trace_rows(traced.traces),
-        )
+        _write_trace(out / "trace.csv", traced.traces)
     if cfg.plot:
         results = summary.results
         (out / "aggregate_ec.svg").write_text(

@@ -619,19 +619,25 @@ class PotentialReport:
     opg_zero_mismatches: int | None
 
 
-def _all_profiles(n_users: int, n_channels: int) -> np.ndarray:
-    grids = np.meshgrid(*([np.arange(1, n_channels + 1)] * n_users), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _lex_rank(rows: np.ndarray, users: int) -> np.ndarray:
+    """Row index of each occupancy row [K, M] in occupancy_vectors(users, M).
+
+    A row is preceded by every row that agrees with it before some channel i
+    and has fewer users on i: ways[L, M-i] - ways[L - c_i, M-i] of them, where
+    L users are left for channels i.. and ways[L, k] = C(L+k-1, k-1).
+    """
+    M = rows.shape[1]
+    ways = np.ones((users + 1, M + 1), dtype=np.int64)
+    for k in range(2, M + 1):
+        ways[:, k] = np.cumsum(ways[:, k - 1])
+    after = users - np.cumsum(rows[:, :-1], axis=1, dtype=np.int64)
+    before = np.hstack([np.full((len(rows), 1), users), after[:, :-1]])
+    parts = np.arange(M, 1, -1)  # channels i.. for i = 0..M-2
+    return (ways[before, parts] - ways[after, parts]).sum(axis=1)
 
 
-def verify_potentials(
-    game: GameSpec,
-    rng: np.random.Generator | None = None,
-    profile_cap: int = 4096,
-    samples: int = 512,
-    zero_tol: float = TIE_TOL,
-) -> PotentialReport:
-    """Compare payoff deltas against potential deltas over unilateral deviations.
+def verify_potentials(game: GameSpec, zero_tol: float = TIE_TOL) -> PotentialReport:
+    """Compare payoff deltas against potential deltas over every unilateral deviation.
 
     Exact-potential check: max |delta expected-rate-share - delta Rosenthal|.
     Ordinal check (common QoS exponent only): count deviations whose utility
@@ -639,67 +645,58 @@ def verify_potentials(
     of the two is zero within `zero_tol`. Utilities follow the game's own
     contention model, so slot-winner games may legitimately report nonzero
     disagreements; the potential algebra matches fair sharing.
+
+    Every delta depends only on the occupancy counts c and the move a -> b,
+    so the scan runs over occupancy states, one move at a time. A state's
+    move counts multinomial(N; c) * c_a times, once per profile-level
+    deviation, so all M**N * N * (M-1) of them are covered exactly.
     """
     N, M = game.n_users, game.n_channels
-    exhaustive = M**N <= profile_cap
-    if exhaustive:
-        profiles = _all_profiles(N, M)
-    else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        profiles = rng.integers(1, M + 1, size=(samples, N))
+    _check_state_count([N], M)
+    states = occupancy_vectors(N, M)
+    checked = M**N * N * (M - 1)
+    # exact integer weights: int64 only where no sum can overflow it
+    dtype = np.int64 if checked < 2**63 else object
+    weights = np.array([_multinomial(x) for x in states.tolist()], dtype=dtype)
 
     theta = game.homogeneous_theta()
-    cap_tables = _count_utility_tables(game, "capacity")
     means = np.array([ch.law.mean() for ch in game.channels])
     cum_share = np.zeros((M, N + 1))
     cum_share[:, 1:] = np.cumsum(means[:, None] / np.arange(1, N + 1)[None, :], axis=1)
+    share_potential = _sum_columns(cum_share[np.arange(M), states])
     if theta is not None:
-        cum_exp = _exp_term_table(game, theta, N)
+        table = _count_utility_tables(game, "capacity")[0]
+        phi = _sum_columns(_exp_term_table(game, theta, N)[np.arange(M), states])
+        # math.log, state by state, is the ordinal potential's own arithmetic
+        potential = -np.array([math.log(v) for v in phi.tolist()]) / theta
 
-    checked = 0
+    step = np.eye(M, dtype=np.int64)
     epg_max = 0.0
-    sign_bad = 0 if theta is not None else None
-    zero_bad = 0 if theta is not None else None
-    for prof_row in profiles:
-        prof = tuple(int(a) for a in prof_row)
-        counts = congestion_counts(prof, M)
-        phi_share = float(sum(cum_share[mi, c] for mi, c in enumerate(counts)))
-        if theta is not None:
-            phi_exp = float(sum(cum_exp[mi, c] for mi, c in enumerate(counts)))
-            phi_ord = -math.log(phi_exp) / theta
-        for n, a in enumerate(prof):
-            share_now = means[a - 1] / counts[a - 1]
-            util_now = cap_tables[n][a - 1, counts[a - 1] - 1]
-            for b in range(1, M + 1):
-                if b == a:
-                    continue
-                checked += 1
-                new_counts = list(counts)
-                new_counts[a - 1] -= 1
-                new_counts[b - 1] += 1
-                d_share = means[b - 1] / new_counts[b - 1] - share_now
-                d_phi_share = (
-                    float(sum(cum_share[mi, c] for mi, c in enumerate(new_counts)))
-                    - phi_share
-                )
-                epg_max = max(epg_max, abs(d_share - d_phi_share))
-                if theta is not None:
-                    d_util = cap_tables[n][b - 1, counts[b - 1]] - util_now
-                    new_phi_exp = float(
-                        sum(cum_exp[mi, c] for mi, c in enumerate(new_counts))
-                    )
-                    d_phi_ord = -math.log(new_phi_exp) / theta - phi_ord
-                    u_zero = abs(d_util) <= zero_tol
-                    p_zero = abs(d_phi_ord) <= zero_tol
-                    if u_zero != p_zero:
-                        zero_bad += 1
-                    elif not u_zero and (d_util > 0) != (d_phi_ord > 0):
-                        sign_bad += 1
+    sign_bad = zero_bad = 0
+    for a in range(M):
+        src = np.flatnonzero(states[:, a])
+        x = states[src].astype(np.int64)
+        movers = weights[src] * x[:, a]
+        for b in range(M):
+            if b == a:
+                continue
+            moved = x - step[a] + step[b]
+            dst = _lex_rank(moved, N)
+            d_share = means[b] / moved[:, b] - means[a] / x[:, a]
+            d_phi_share = share_potential[dst] - share_potential[src]
+            epg_max = max(epg_max, float(np.abs(d_share - d_phi_share).max()))
+            if theta is not None:
+                d_util = table[b, x[:, b]] - table[a, x[:, a] - 1]
+                d_phi_ord = potential[dst] - potential[src]
+                u_zero = np.abs(d_util) <= zero_tol
+                p_zero = np.abs(d_phi_ord) <= zero_tol
+                zero_bad += int(movers[u_zero != p_zero].sum())
+                flipped = ~u_zero & ~p_zero & ((d_util > 0) != (d_phi_ord > 0))
+                sign_bad += int(movers[flipped].sum())
     return PotentialReport(
-        exhaustive=exhaustive,
+        exhaustive=True,
         deviations_checked=checked,
         epg_max_abs_error=epg_max,
-        opg_sign_disagreements=sign_bad,
-        opg_zero_mismatches=zero_bad,
+        opg_sign_disagreements=sign_bad if theta is not None else None,
+        opg_zero_mismatches=zero_bad if theta is not None else None,
     )

@@ -7,12 +7,15 @@ paths on small games.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from specgame.game import (
     TIE_TOL,
+    PotentialReport,
     _count_utility_tables,
+    _exp_term_table,
     _find_improvement,
     congestion_counts,
     ordinal_potential,
@@ -44,6 +47,64 @@ def total_utility(game, profile):
 def potential_maximizer(game):
     """The first profile, in lexicographic order, of largest ordinal potential."""
     return max(all_profiles(game), key=lambda p: ordinal_potential(game, p))
+
+
+def verify_potentials(game, zero_tol=TIE_TOL):
+    """The potential report, by walking every unilateral deviation of every profile."""
+    N, M = game.n_users, game.n_channels
+    theta = game.homogeneous_theta()
+    cap_tables = _count_utility_tables(game, "capacity")
+    means = np.array([ch.law.mean() for ch in game.channels])
+    cum_share = np.zeros((M, N + 1))
+    cum_share[:, 1:] = np.cumsum(means[:, None] / np.arange(1, N + 1)[None, :], axis=1)
+    if theta is not None:
+        cum_exp = _exp_term_table(game, theta, N)
+
+    checked = 0
+    epg_max = 0.0
+    sign_bad = 0 if theta is not None else None
+    zero_bad = 0 if theta is not None else None
+    for prof in all_profiles(game):
+        counts = congestion_counts(prof, M)
+        phi_share = float(sum(cum_share[mi, c] for mi, c in enumerate(counts)))
+        if theta is not None:
+            phi_exp = float(sum(cum_exp[mi, c] for mi, c in enumerate(counts)))
+            phi_ord = -math.log(phi_exp) / theta
+        for n, a in enumerate(prof):
+            share_now = means[a - 1] / counts[a - 1]
+            util_now = cap_tables[n][a - 1, counts[a - 1] - 1]
+            for b in range(1, M + 1):
+                if b == a:
+                    continue
+                checked += 1
+                new_counts = list(counts)
+                new_counts[a - 1] -= 1
+                new_counts[b - 1] += 1
+                d_share = means[b - 1] / new_counts[b - 1] - share_now
+                d_phi_share = (
+                    float(sum(cum_share[mi, c] for mi, c in enumerate(new_counts)))
+                    - phi_share
+                )
+                epg_max = max(epg_max, abs(d_share - d_phi_share))
+                if theta is not None:
+                    d_util = cap_tables[n][b - 1, counts[b - 1]] - util_now
+                    new_phi_exp = float(
+                        sum(cum_exp[mi, c] for mi, c in enumerate(new_counts))
+                    )
+                    d_phi_ord = -math.log(new_phi_exp) / theta - phi_ord
+                    u_zero = abs(d_util) <= zero_tol
+                    p_zero = abs(d_phi_ord) <= zero_tol
+                    if u_zero != p_zero:
+                        zero_bad += 1
+                    elif not u_zero and (d_util > 0) != (d_phi_ord > 0):
+                        sign_bad += 1
+    return PotentialReport(
+        exhaustive=True,
+        deviations_checked=checked,
+        epg_max_abs_error=epg_max,
+        opg_sign_disagreements=sign_bad,
+        opg_zero_mismatches=zero_bad,
+    )
 
 
 class FieldEvaluator:

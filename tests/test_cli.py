@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from specgame.cli import main
+from specgame.cli import TRACE_CHUNK, _write_csv, _write_trace, main
 from specgame.config import PRESETS, config_from_dict, config_to_dict, parse_config
 from specgame.plots import Series, line_chart
+from specgame.simulator import TrialTraces
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -108,6 +109,49 @@ class TestLearn:
             )
         for name in ("probability.svg", "estimates.svg", "aggregate.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def trace_rows(traces):
+    """trace.csv rows as the csv.writer path writes them: one tuple per row."""
+    p, q = traces.p.tolist(), traces.q.tolist()
+    m = traces.p.shape[2]
+    for slot, (actions, payoffs) in enumerate(
+        zip(traces.actions.tolist(), traces.payoffs.tolist())
+    ):
+        for user, action in enumerate(actions):
+            for channel in range(1, m + 1):
+                yield (
+                    slot + 1,
+                    user + 1,
+                    channel,
+                    p[slot][user][channel - 1],
+                    q[slot][user][channel - 1],
+                    payoffs[user] if channel == action else None,
+                )
+
+
+class TestTraceWriter:
+    VALUES = np.array([-0.0, 0.0, 1e-05, 1e16, 0.1 + 0.2, 3.0, -2.0, 1 / 3, 5e-324])
+
+    @pytest.mark.parametrize(
+        "slots", [1, TRACE_CHUNK - 1, TRACE_CHUNK, TRACE_CHUNK + 1, 2 * TRACE_CHUNK + 45]
+    )
+    def test_bytes_match_the_csv_writer(self, tmp_path, slots):
+        rng = np.random.default_rng(slots)
+        n, m = 3, 4
+        traces = TrialTraces(
+            p=rng.choice(self.VALUES, size=(slots, n, m)),
+            q=rng.choice(self.VALUES, size=(slots, n, m)),
+            actions=rng.integers(1, m + 1, size=(slots, n)),
+            payoffs=rng.choice(self.VALUES, size=(slots, n)),
+        )
+        _write_trace(tmp_path / "fast.csv", traces)
+        _write_csv(
+            tmp_path / "rows.csv",
+            ("slot", "user", "channel", "p", "q", "payoff"),
+            trace_rows(traces),
+        )
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestExperiment:

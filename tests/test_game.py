@@ -374,14 +374,27 @@ class TestVerifyPotentials:
         assert rep.opg_zero_mismatches is None
         assert rep.epg_max_abs_error <= 1e-9
 
-    def test_sampled_mode_on_large_games(self):
+    def test_exhaustive_on_large_games(self):
         rng = np.random.default_rng(1)
         g = random_game(rng, n_users=10, n_channels=4)
-        rep = verify_potentials(g, rng=rng, profile_cap=1000, samples=50)
-        assert not rep.exhaustive
-        assert rep.deviations_checked == 50 * 10 * 3
+        rep = verify_potentials(g)
+        assert rep.exhaustive
+        assert rep.deviations_checked == 4**10 * 10 * 3
         assert rep.epg_max_abs_error <= 1e-9
         assert rep.opg_sign_disagreements == 0
+
+    def test_counts_stay_exact_past_int64(self):
+        g = GameSpec(thetas=(1.0,) * 70, channels=twin_channel_game().channels)
+        rep = verify_potentials(g)
+        assert rep.deviations_checked == 2**70 * 70
+        assert rep.opg_sign_disagreements == 0
+        assert rep.opg_zero_mismatches == 0
+
+    def test_refuses_beyond_the_state_limit(self):
+        # C(204, 4) = 69,533,301 occupancy states
+        g = random_game(np.random.default_rng(0), n_users=200, n_channels=5)
+        with pytest.raises(ValueError, match="beyond the limit"):
+            verify_potentials(g)
 
     def test_slot_winner_is_exploratory_but_reported(self):
         """The ordinal potential mirrors fair sharing; a slot-winner game still

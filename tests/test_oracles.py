@@ -22,6 +22,7 @@ from specgame.game import (
     enumerate_nash,
     potential_maximizer,
     total_utility,
+    verify_potentials,
 )
 
 CLOSE = {"rel": 1e-12, "abs": 1e-12}
@@ -79,6 +80,19 @@ def test_potential_maximizer_matches_the_profile_scan(seed, twins):
     _, g = small_game(seed, common=True, twins=twins)
     # the same potential values, so ties resolve to the same first profile
     assert potential_maximizer(g) == brute_force.potential_maximizer(g)
+
+
+@given(games, st.booleans(), st.sampled_from((TIE_TOL, 0.0)))
+@settings(max_examples=80, deadline=None)
+def test_potential_report_matches_the_profile_scan(case, twins, zero_tol):
+    _, g = small_game(*case, twins=twins)
+    got = verify_potentials(g, zero_tol=zero_tol)
+    want = brute_force.verify_potentials(g, zero_tol=zero_tol)
+    assert got.exhaustive and want.exhaustive
+    assert got.deviations_checked == want.deviations_checked
+    assert got.opg_sign_disagreements == want.opg_sign_disagreements
+    assert got.opg_zero_mismatches == want.opg_zero_mismatches
+    assert got.epg_max_abs_error == pytest.approx(want.epg_max_abs_error, rel=0, abs=1e-12)
 
 
 @given(games)
