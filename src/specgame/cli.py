@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from specgame.config import (
     PRESETS,
     ConfigError,
     ExperimentConfig,
+    config_errors,
     config_to_dict,
     parse_config,
     preset_config,
@@ -45,11 +46,14 @@ from specgame.plots import (
     sweep_chart,
     trials_chart,
 )
-from specgame.simulator import run_experiment, run_trial, sweep, trial_rng
+from specgame.simulator import ExperimentSummary, run_experiment, run_trial, sweep, trial_rng
 
 ODE_DT = 0.02
 
 TRACE_CHUNK = 128  # slots of trace.csv joined and written at once
+
+# the across-trial columns of sweep.csv, in field order
+SUMMARY_FIELDS = tuple(f.name for f in fields(ExperimentSummary) if f.name != "results")
 
 FAIR_SHARE_NOTE = (
     "potential_maximizer maximizes the ordinal potential, which follows fair "
@@ -74,11 +78,6 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
-def _write_resolved(cfg: ExperimentConfig, out: Path) -> None:
-    text = json.dumps(config_to_dict(cfg), indent=2) + "\n"
-    (out / "resolved_config.json").write_text(text, encoding="utf-8")
-
-
 def _load(args) -> ExperimentConfig:
     if args.config is not None and args.preset is not None:
         raise ConfigError("give --config or --preset, not both")
@@ -88,31 +87,18 @@ def _load(args) -> ExperimentConfig:
         cfg = preset_config(args.preset)
     else:
         raise ConfigError("a config file (--config) or a preset (--preset) is required")
-    sim = cfg.sim
-    if args.seed is not None:
-        sim = replace(sim, base_seed=args.seed)
-    if args.trials is not None:
-        sim = replace(sim, trials=args.trials)
-    if args.iterations is not None:
-        sim = replace(sim, iterations=args.iterations)
-    cfg = replace(cfg, sim=sim)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=str(args.out))
-    if args.plot:
-        cfg = replace(cfg, plot=True)
+    sim_flags = {"base_seed": args.seed, "trials": args.trials, "iterations": args.iterations}
+    with config_errors():
+        sim = replace(cfg.sim, **{k: v for k, v in sim_flags.items() if v is not None})
+        out_dir = str(args.out or cfg.out_dir)
+        cfg = replace(cfg, sim=sim, out_dir=out_dir, plot=args.plot or cfg.plot)
+    if args.command == "sweep" and cfg.sweep_variable is None:
+        raise ConfigError("sweep: the config has no sweep section")
     return cfg
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_analyze(args) -> int:
-    cfg = _load(args)
+def cmd_analyze(cfg: ExperimentConfig, out: Path, args) -> int:
     game = cfg.sim.game
-    out = _out_dir(cfg)
     profiles = enumerate_nash(game)
     aggregates = total_utility(game, profiles).tolist()
     report = verify_potentials(game)
@@ -144,7 +130,6 @@ def cmd_analyze(args) -> int:
         # streamed: one string of the whole document would set the peak memory
         json.dump(analysis, fh, indent=2)
         fh.write("\n")
-    _write_resolved(cfg, out)
     best = analysis["best_nash_aggregate_ec"]
     best_txt = f", best aggregate EC {best:.4f}" if best is not None else ""
     max_txt = ""
@@ -193,10 +178,8 @@ def _running_aggregate(payoffs: np.ndarray, thetas) -> np.ndarray:
     return (-np.log(cummean) / thetas_arr).sum(axis=1)
 
 
-def cmd_learn(args) -> int:
-    cfg = _load(args)
+def cmd_learn(cfg: ExperimentConfig, out: Path, args) -> int:
     sim = replace(cfg.sim, collect_traces=True)
-    out = _out_dir(cfg)
     result = run_trial(sim, 0)
     _write_trace(out / "trace.csv", result.traces)
     final_p = result.traces.p[-1]
@@ -214,7 +197,6 @@ def cmd_learn(args) -> int:
             for u in range(sim.game.n_users)
         ),
     )
-    _write_resolved(cfg, out)
     if cfg.plot:
         traces = result.traces
         (out / "probability.svg").write_text(
@@ -237,10 +219,8 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def cmd_experiment(args) -> int:
-    cfg = _load(args)
+def cmd_experiment(cfg: ExperimentConfig, out: Path, args) -> int:
     sim = cfg.sim
-    out = _out_dir(cfg)
     summary = run_experiment(sim)
     _write_csv(
         out / "trials.csv",
@@ -265,7 +245,6 @@ def cmd_experiment(args) -> int:
             for u in range(sim.game.n_users)
         ),
     )
-    _write_resolved(cfg, out)
     if args.trace:
         traced = run_trial(replace(sim, collect_traces=True), 0)
         _write_trace(out / "trace.csv", traced.traces)
@@ -287,41 +266,21 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    if cfg.sweep_variable is None:
-        raise ConfigError("sweep: the config has no sweep section")
-    out = _out_dir(cfg)
+def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
     points = sweep(cfg.sim, cfg.sweep_variable, cfg.sweep_values)
     _write_csv(
         out / "sweep.csv",
-        (
-            "variable",
-            "value",
-            "trials",
-            "mean_agg_closed",
-            "std_agg_closed",
-            "mean_agg_empirical",
-            "std_agg_empirical",
-            "convergence_rate",
-            "mean_conv_slot",
-        ),
+        ("variable", "value", "trials", *SUMMARY_FIELDS),
         (
             (
                 pt.variable,
                 pt.value,
                 len(pt.summary.results),
-                pt.summary.mean_agg_closed,
-                pt.summary.std_agg_closed,
-                pt.summary.mean_agg_empirical,
-                pt.summary.std_agg_empirical,
-                pt.summary.convergence_rate,
-                pt.summary.mean_conv_slot,
+                *(getattr(pt.summary, name) for name in SUMMARY_FIELDS),
             )
             for pt in points
         ),
     )
-    _write_resolved(cfg, out)
     if cfg.plot:
         (out / "sweep.svg").write_text(
             sweep_chart(
@@ -340,10 +299,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_ode(args) -> int:
-    cfg = _load(args)
+def cmd_ode(cfg: ExperimentConfig, out: Path, args) -> int:
     game = cfg.sim.game
-    out = _out_dir(cfg)
     rng = trial_rng(cfg.sim.base_seed, 0)
     start = rng.dirichlet(np.ones(game.n_channels), size=game.n_users) * 0.9 + 0.05
     start /= start.sum(axis=1, keepdims=True)
@@ -366,7 +323,6 @@ def cmd_ode(args) -> int:
             for step in range(len(traj.potentials))
         ),
     )
-    _write_resolved(cfg, out)
     if cfg.plot:
         (out / "potential.svg").write_text(
             potential_chart(
@@ -426,7 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load(args)
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        text = json.dumps(config_to_dict(cfg), indent=2) + "\n"
+        (out / "resolved_config.json").write_text(text, encoding="utf-8")
+        return args.func(cfg, out, args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 
 from specgame.channels import ChannelSpec, rayleigh_state_probs
 from specgame.game import Contention, GameSpec
-from specgame.simulator import ALGORITHMS, SWEEP_VARIABLES, SimConfig
+from specgame.simulator import SimConfig, sweep_configs
 
 # Discrete transmission rates of the five-state link model, packets per slot.
 RATE_STEPS = (0.0, 1.0, 2.0, 3.0, 6.0)
@@ -33,6 +34,17 @@ SNR_THRESHOLDS = (
 
 class ConfigError(ValueError):
     """A config file failed validation; the message carries the key path."""
+
+
+@contextmanager
+def config_errors(path: str = ""):
+    """Raise a ValueError from the block as a ConfigError at `path`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(f"{path}{err}") from err
 
 
 def snr_channel(
@@ -64,11 +76,8 @@ class ExperimentConfig:
                 "sweep: variable and values must be given together"
             )
         if self.sweep_variable is not None:
-            if self.sweep_variable not in SWEEP_VARIABLES:
-                raise ConfigError(
-                    f"sweep.variable: must be one of {SWEEP_VARIABLES}, "
-                    f"got {self.sweep_variable!r}"
-                )
+            with config_errors():
+                sweep_configs(self.sim, self.sweep_variable, self.sweep_values)
             if not self.sweep_values:
                 raise ConfigError("sweep.values: must be a non-empty list")
 
@@ -113,15 +122,13 @@ def _parse_channel(data, index: int) -> ChannelSpec:
         raise ConfigError(
             f"game.channels[{index}]: thresholds_db only applies with avg_snr_db"
         )
-    try:
+    with config_errors(f"game.channels[{index}]: "):
         if probs is not None:
             return ChannelSpec(id=id, rates=rates, probs=probs)
         thresholds = SNR_THRESHOLDS
         if thresholds_db is not None:
             thresholds = tuple(10.0 ** (float(t) / 10.0) for t in thresholds_db)
         return snr_channel(id, snr, rates, thresholds)
-    except ValueError as err:
-        raise ConfigError(f"game.channels[{index}]: {err}") from err
 
 
 def _parse_game(data) -> GameSpec:
@@ -146,35 +153,37 @@ def _parse_game(data) -> GameSpec:
             raise ConfigError("game.n_users: required alongside theta")
         theta_tuple = (theta,) * n_users
     contention = _get(data, "contention", str, "game.", default="fair_share")
-    try:
+    with config_errors("game: "):
         return GameSpec(
             thetas=theta_tuple,
             channels=channels,
             contention=Contention.from_str(contention),
         )
-    except ValueError as err:
-        raise ConfigError(f"game: {err}") from err
 
 
-_TOP_KEYS = {
-    "game",
-    "iterations",
-    "trials",
-    "base_seed",
-    "algorithm",
-    "eta",
-    "lambda",
-    "epsilon",
-    "sla_gain",
-    "sla_rate_cap",
-    "random_per_slot",
-    "window",
-    "collect_traces",
-    "out_dir",
-    "plot",
-    "preset",
-    "sweep",
-}
+_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
+
+
+def _plain_keys(cls, *special) -> dict[str, type]:
+    """{JSON key: type} of a config dataclass's fields but `special`; an
+    optional field (`float | None`) takes its inner type."""
+    return {
+        f.name: _TYPES[f.type.removesuffix(" | None")]
+        for f in fields(cls)
+        if f.name not in special
+    }
+
+
+# A JSON key is the name of its field, and a missing or null key leaves the
+# field's default. `game` and `lam`, written "lambda", have their own code.
+SIM_KEYS = _plain_keys(SimConfig, "game", "lam")
+EXPERIMENT_KEYS = _plain_keys(ExperimentConfig, "sim", "sweep_variable", "sweep_values")
+_TOP_KEYS = {"game", "lambda", "sweep", *SIM_KEYS, *EXPERIMENT_KEYS}
+
+
+def _present(data: dict, keys: dict[str, type]) -> dict:
+    """The type-checked values of the `keys` that `data` sets, null aside."""
+    return {k: _get(data, k, kind, "") for k, kind in keys.items() if data.get(k) is not None}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -190,40 +199,22 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         lam = float(lam_raw)
     else:
         raise ConfigError('lambda: expected a number or the string "1/t"')
-    try:
-        sim = SimConfig(
-            game=game,
-            iterations=_get(data, "iterations", int, "", default=2000),
-            trials=_get(data, "trials", int, "", default=1),
-            base_seed=_get(data, "base_seed", int, "", default=0),
-            algorithm=_get(data, "algorithm", str, "", default="learn"),
-            eta=_get(data, "eta", float, "", default=0.1),
-            lam=lam,
-            epsilon=_get(data, "epsilon", float, "", default=0.01),
-            sla_gain=_get(data, "sla_gain", float, "", default=0.08),
-            sla_rate_cap=_get(data, "sla_rate_cap", float, ""),
-            random_per_slot=_get(data, "random_per_slot", bool, "", default=False),
-            window=_get(data, "window", int, ""),
-            collect_traces=_get(data, "collect_traces", bool, "", default=False),
-        )
-    except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(str(err)) from err
+    with config_errors():
+        sim = SimConfig(game=game, lam=lam, **_present(data, SIM_KEYS))
     sweep_raw = _get(data, "sweep", dict, "")
     variable = values = None
     if sweep_raw is not None:
         _reject_unknown(sweep_raw, {"variable", "values"}, "sweep.")
         variable = _get(sweep_raw, "variable", str, "sweep.", required=True)
         values_raw = _get(sweep_raw, "values", list, "sweep.", required=True)
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values_raw):
+            raise ConfigError("sweep.values: expected a list of numbers")
         values = tuple(float(v) for v in values_raw)
     return ExperimentConfig(
         sim=sim,
-        out_dir=_get(data, "out_dir", str, "", default="runs"),
-        plot=_get(data, "plot", bool, "", default=False),
-        preset=_get(data, "preset", str, ""),
         sweep_variable=variable,
         sweep_values=values,
+        **_present(data, EXPERIMENT_KEYS),
     )
 
 
@@ -240,32 +231,21 @@ def parse_config(path) -> ExperimentConfig:
 def config_to_dict(config: ExperimentConfig) -> dict:
     """The JSON form of a config; config_from_dict inverts it exactly."""
     sim = config.sim
-    game = sim.game
+    # every SimConfig field in field order, `lam` under "lambda"
     out = {
-        "game": {
-            "thetas": list(game.thetas),
-            "contention": game.contention.value,
-            "channels": [
-                {"id": c.id, "rates": list(c.rates), "probs": list(c.probs)}
-                for c in game.channels
-            ],
-        },
-        "iterations": sim.iterations,
-        "trials": sim.trials,
-        "base_seed": sim.base_seed,
-        "algorithm": sim.algorithm,
-        "eta": sim.eta,
-        "lambda": "1/t" if sim.lam is None else sim.lam,
-        "epsilon": sim.epsilon,
-        "sla_gain": sim.sla_gain,
-        "sla_rate_cap": sim.sla_rate_cap,
-        "random_per_slot": sim.random_per_slot,
-        "window": sim.window,
-        "collect_traces": sim.collect_traces,
-        "out_dir": config.out_dir,
-        "plot": config.plot,
-        "preset": config.preset,
+        ("lambda" if f.name == "lam" else f.name): getattr(sim, f.name)
+        for f in fields(SimConfig)
     }
+    out["game"] = {
+        "thetas": list(sim.game.thetas),
+        "contention": sim.game.contention.value,
+        "channels": [
+            {"id": c.id, "rates": list(c.rates), "probs": list(c.probs)}
+            for c in sim.game.channels
+        ],
+    }
+    out["lambda"] = "1/t" if sim.lam is None else sim.lam
+    out.update((key, getattr(config, key)) for key in EXPERIMENT_KEYS)
     if config.sweep_variable is not None:
         out["sweep"] = {
             "variable": config.sweep_variable,

@@ -26,8 +26,6 @@ from specgame.channels import RateSampler
 from specgame.game import Contention, GameSpec, congestion_counts, utility
 from specgame.learning import StepSchedule, check_estimates, check_simplex_rows
 
-ALGORITHMS = ("learn", "sla", "random")
-
 AGGREGATE_TOL = 1e-9
 
 # Byte budget of the per-slot logs of one block of trials: payoffs, plus
@@ -104,9 +102,9 @@ class SimConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.base_seed <= _MASK64:
             raise ValueError("base_seed must fit in an unsigned 64-bit integer")
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in POLICIES:
             raise ValueError(
-                f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"
+                f"algorithm must be one of {tuple(POLICIES)}, got {self.algorithm!r}"
             )
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon!r}")
@@ -494,20 +492,35 @@ def _with_value(config: SimConfig, variable: str, value) -> SimConfig:
     theta = game.homogeneous_theta()
     if theta is None:
         raise ValueError("a user sweep needs a common QoS exponent to replicate")
-    n = int(value)
-    if n < 1:
-        raise ValueError(f"user counts must be >= 1, got {value!r}")
-    return replace(config, game=replace(game, thetas=(theta,) * n))
+    if not (float(value).is_integer() and value >= 1):
+        raise ValueError("user counts must be whole numbers >= 1")
+    return replace(config, game=replace(game, thetas=(theta,) * int(value)))
 
 
-def sweep(config: SimConfig, variable: str, values) -> tuple[SweepPoint, ...]:
-    """One experiment per value of the swept variable."""
+def sweep_configs(config: SimConfig, variable: str, values) -> tuple[SimConfig, ...]:
+    """The config of every sweep point, each built and so checked.
+
+    Raises ValueError, naming the point, on the first bad value; sweep
+    calls this before the first point runs.
+    """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(
             f"sweep variable must be one of {SWEEP_VARIABLES}, got {variable!r}"
         )
-    points = []
+    configs = []
     for value in values:
-        summary = run_experiment(_with_value(config, variable, value))
-        points.append(SweepPoint(variable=variable, value=float(value), summary=summary))
-    return tuple(points)
+        try:
+            configs.append(_with_value(config, variable, value))
+        except ValueError as err:
+            raise ValueError(f"sweep {variable} = {value!r}: {err}") from err
+    return tuple(configs)
+
+
+def sweep(config: SimConfig, variable: str, values) -> tuple[SweepPoint, ...]:
+    """One experiment per value of the swept variable."""
+    values = tuple(values)
+    configs = sweep_configs(config, variable, values)
+    return tuple(
+        SweepPoint(variable, float(value), run_experiment(point))
+        for value, point in zip(values, configs)
+    )

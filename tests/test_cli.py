@@ -6,6 +6,7 @@ import pytest
 
 from specgame.cli import TRACE_CHUNK, _write_csv, _write_trace, main
 from specgame.config import PRESETS, config_from_dict, config_to_dict, parse_config
+from specgame import simulator
 from specgame.plots import Series, line_chart
 from specgame.simulator import TrialTraces
 
@@ -291,6 +292,33 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "no sweep section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "variable, values, game",
+        [
+            ("users", [2, 0], None),
+            ("users", [2, 2.5], None),
+            ("eta", [0.1, -1], None),
+            ("theta", [0.1, 0], None),
+            (
+                "users",
+                [2, 3],
+                {"thetas": [0.1, 0.2], "channels": [{"rates": [0.0, 2.0], "probs": [0.5, 0.5]}]},
+            ),
+        ],
+    )
+    def test_bad_point_refused_before_any_run(
+        self, variable, values, game, tmp_path, capsys, monkeypatch
+    ):
+        ran = []
+        monkeypatch.setattr(simulator, "run_experiment", ran.append)
+        extra = {"game": game} if game else {}
+        cfg = write_config(tmp_path, sweep={"variable": variable, "values": values}, **extra)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"error: sweep {variable} = " in capsys.readouterr().err
+        assert ran == []
+        assert not (out / "sweep.csv").exists()
+
     def test_sweep_plot(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -381,6 +409,20 @@ class TestErrors:
             main([command, "--preset", "fig2", "--trace"])
         assert exc.value.code == 2
         assert "--trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--trials", "0", "trials must be >= 1, got 0"),
+            ("--iterations", "0", "iterations must be >= 1, got 0"),
+            ("--seed", "-1", "base_seed must fit in an unsigned 64-bit integer"),
+        ],
+    )
+    def test_bad_override_is_config_error(self, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["experiment", "--preset", "fig2", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

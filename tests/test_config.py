@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -8,6 +9,7 @@ from specgame.config import (
     RATE_STEPS,
     SNR_THRESHOLDS,
     ConfigError,
+    ExperimentConfig,
     config_from_dict,
     config_to_dict,
     parse_config,
@@ -15,6 +17,7 @@ from specgame.config import (
     snr_channel,
 )
 from specgame.game import Contention
+from specgame.simulator import SimConfig
 
 
 def minimal() -> dict:
@@ -170,6 +173,35 @@ class TestRejection:
         with pytest.raises(ConfigError, match="sweep.variable"):
             config_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "variable, values, message",
+        [
+            ("users", [5, 2.5], r"sweep users = 2.5: user counts must be whole numbers"),
+            ("users", [5, 0], r"sweep users = 0.0: user counts must be whole numbers"),
+            ("eta", [0.1, -1], r"sweep eta = -1.0: eta must be > 0"),
+            ("theta", [0.1, 0], r"sweep theta = 0.0: QoS exponents must be finite and > 0"),
+        ],
+    )
+    def test_bad_sweep_points_are_config_errors(self, variable, values, message):
+        data = minimal()
+        data["sweep"] = {"variable": variable, "values": values}
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(data)
+
+    def test_user_sweep_over_mixed_exponents_is_config_error(self):
+        data = minimal()
+        data["game"] = {"thetas": [0.1, 0.2], "channels": data["game"]["channels"]}
+        data["sweep"] = {"variable": "users", "values": [2, 3]}
+        with pytest.raises(ConfigError, match="common QoS exponent"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("value", ["fast", "3", True, None])
+    def test_non_numeric_sweep_value_is_config_error(self, value):
+        data = minimal()
+        data["sweep"] = {"variable": "users", "values": [2, value]}
+        with pytest.raises(ConfigError, match="sweep.values: expected a list of numbers"):
+            config_from_dict(data)
+
     def test_bad_contention(self):
         data = minimal()
         data["game"]["contention"] = "tdma"
@@ -202,6 +234,51 @@ class TestRoundTrip:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="malformed JSON"):
             parse_config(path)
+
+
+# One non-default value per top-level JSON key.
+NON_DEFAULT = {
+    "iterations": 300,
+    "trials": 3,
+    "base_seed": 7,
+    "algorithm": "sla",
+    "eta": 0.2,
+    "lambda": 0.5,
+    "epsilon": 0.05,
+    "sla_gain": 0.2,
+    "sla_rate_cap": 4.0,
+    "random_per_slot": True,
+    "window": 100,
+    "collect_traces": True,
+    "out_dir": "elsewhere",
+    "plot": True,
+    "preset": "custom",
+    "sweep": {"variable": "eta", "values": [0.05, 0.2]},
+}
+
+
+class TestSchema:
+    """The JSON keys are the config dataclasses' fields, so none can drop out
+    of resolved_config.json."""
+
+    def test_json_keys_are_the_field_names(self):
+        sim = {f.name for f in fields(SimConfig)} - {"game", "lam"}
+        experiment = {f.name for f in fields(ExperimentConfig)} - {"sim"}
+        experiment -= {"sweep_variable", "sweep_values"}
+        written = config_to_dict(preset_config("eta_sweep"))
+        assert set(written) == {"game", "lambda", "sweep"} | sim | experiment
+        assert set(NON_DEFAULT) == set(written) - {"game"}
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+    def test_every_key_round_trips_a_non_default_value(self, key):
+        default = config_to_dict(config_from_dict(minimal()))
+        assert default.get(key) != NON_DEFAULT[key]
+        data = {**minimal(), key: NON_DEFAULT[key]}
+        written = config_to_dict(config_from_dict(data))
+        assert written[key] == NON_DEFAULT[key]
+        assert {k: v for k, v in written.items() if k != key} == {
+            k: v for k, v in default.items() if k != key
+        }
 
 
 class TestChannels:

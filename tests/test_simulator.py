@@ -370,6 +370,26 @@ class TestSweep:
         with pytest.raises(ValueError, match="common QoS exponent"):
             sweep(cfg, "users", (3,))
 
+    @pytest.mark.parametrize(
+        "thetas, variable, values",
+        [
+            ((0.01, 0.01), "users", (2, 0)),
+            ((0.01, 0.01), "users", (2, 2.5)),
+            ((0.01, 0.01), "eta", (0.1, -1.0)),
+            ((0.01, 0.01), "theta", (0.1, 0.0)),
+            ((0.1, 0.2), "users", (2, 3)),
+        ],
+    )
+    def test_bad_point_raises_before_the_first_runs(
+        self, thetas, variable, values, monkeypatch
+    ):
+        ran = []
+        monkeypatch.setattr(simulator, "run_experiment", ran.append)
+        game = GameSpec(thetas=thetas, channels=TWIN.channels)
+        with pytest.raises(ValueError, match=f"sweep {variable} = "):
+            sweep(SimConfig(game=game, iterations=10), variable, values)
+        assert ran == []
+
     def test_unknown_variable_rejected(self):
         cfg = SimConfig(game=TWIN, iterations=10)
         with pytest.raises(ValueError, match="sweep variable"):
