@@ -36,8 +36,8 @@ class StepSchedule:
     lam: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eta:
-            raise ValueError(f"eta must be > 0, got {self.eta!r}")
+        if not (0.0 < self.eta and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be > 0 and finite, got {self.eta!r}")
         if self.lam is not None and not 0.0 < self.lam <= 1.0:
             raise ValueError(f"constant lambda must be in (0, 1], got {self.lam!r}")
 

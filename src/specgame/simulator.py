@@ -12,6 +12,13 @@ user order, M for the channel states and M for collision tie-breaks, both
 in channel order. What a trial consumes therefore never depends on
 collisions or on the trials beside it, so trial i's result is the same
 whatever the trial count, block size or chunk size.
+
+Uniforms are drawn a chunk of slots at a time, and the chunk's channel
+states with them. A policy that learns steps through the chunk slot by
+slot, since each slot's actions depend on the last update. One that does
+not learn (`learns` false, the random baseline) never reads payoffs, so it
+acts, contends and logs the whole chunk as [k, T, N] arrays; its `act` then
+receives [k, T, N] uniforms.
 """
 
 from __future__ import annotations
@@ -114,8 +121,9 @@ class SimConfig:
             )
         if not 0.0 < self.sla_gain < 1.0:
             raise ValueError(f"sla_gain must be in (0, 1), got {self.sla_gain!r}")
-        if self.sla_rate_cap is not None and not self.sla_rate_cap > 0.0:
-            raise ValueError(f"sla_rate_cap must be > 0, got {self.sla_rate_cap!r}")
+        cap = self.sla_rate_cap
+        if cap is not None and not (cap > 0.0 and math.isfinite(cap)):
+            raise ValueError(f"sla_rate_cap must be > 0 and finite, got {cap!r}")
         # surface bad step parameters at config time, not mid-trial
         StepSchedule(eta=self.eta, lam=self.lam)
 
@@ -189,19 +197,27 @@ def resolve_contention(
 
 
 def _contend(model: Contention, actions, chosen, rates, tiebreak) -> np.ndarray:
-    """resolve_contention for a block of trials.
+    """resolve_contention for a block of trials, over any leading shape.
 
-    actions are the [T, N] 0-based channels and chosen their [T, N, M]
-    one-hot; rates and tiebreak are [T, M]. Returns the [T, N] payoffs.
+    actions are the [..., N] 0-based channels and chosen their [..., N, M]
+    one-hot; rates and tiebreak are [..., M]. Returns the [..., N] payoffs.
+    Per-channel values are gathered by flat index: with the leading axes
+    flattened to rows i, user n's channel sits at actions[i, n] + M * i of
+    the flattened [..., M] array.
     """
-    rows = np.arange(actions.shape[0])[:, None]
-    counts = chosen.sum(axis=1)  # [T, M]
-    got = rates[rows, actions]
+    n, m = actions.shape[-1], rates.shape[-1]
+    rows = np.arange(actions.size // n).reshape(actions.shape[:-1] + (1,))
+    flat = actions + m * rows
+    # [..., N, M]: takers so far in user order, in the smallest integer type
+    # that holds N, which keeps chunk-sized temporaries small
+    taken = chosen.cumsum(axis=-2, dtype=np.min_scalar_type(n))
+    counts = taken[..., -1, :]  # [..., M]
+    got = rates.take(flat)
     if model is Contention.FAIR_SHARE:
-        return got / counts[rows, actions]
+        return got / counts.take(flat)
     # a taker wins when its rank among the channel's takers is floor(u * c)
-    rank = chosen.cumsum(axis=1)[rows, np.arange(actions.shape[1]), actions] - 1
-    winner = np.floor(tiebreak * counts)[rows, actions]
+    rank = taken[chosen].reshape(actions.shape) - 1
+    winner = np.floor(tiebreak * counts).take(flat)
     return np.where(rank == winner, got, 0.0)
 
 
@@ -232,9 +248,13 @@ class Policy:
     to 0-based channel indices [T, N]. `update(state, chosen, payoffs)`
     takes the one-hot [T, N, M] of those actions and the [T, N] payoffs.
     One instance serves one block.
+
+    A policy that does not learn never reads payoffs, so the engine runs it
+    a chunk at a time: `act` then receives [k, T, N] uniforms for k slots
+    and returns [k, T, N] channels, and `update` is never called.
     """
 
-    converges = True  # whether the convergence slot is read off p
+    learns = True  # whether it updates on payoffs; the convergence slot is read off p
 
     def act(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
         return _sample(p, u)
@@ -292,16 +312,19 @@ class RandomPolicy(Policy):
     """Uniform choices: one profile held from the first slot, or a fresh
     one every slot. Draws like learning.random_baseline_profile."""
 
-    converges = False
+    learns = False
 
     def __init__(self, config: SimConfig) -> None:
         self.per_slot = config.random_per_slot
         self.held: np.ndarray | None = None
 
     def act(self, p, u):
-        if self.per_slot or self.held is None:
-            self.held = _sample(p, u)
-        return self.held
+        # u is [k, T, N]: k slots of action uniforms
+        if self.per_slot:
+            return _sample(p, u)
+        if self.held is None:
+            self.held = _sample(p, u[0])
+        return np.broadcast_to(self.held, u.shape)
 
     def final_profile(self, state, actions):
         return actions
@@ -373,22 +396,37 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
     for start in range(0, slots, CHUNK_SLOTS):
         k = min(CHUNK_SLOTS, slots - start)
         uniforms = np.stack([rng.random((k, n + 2 * m)) for rng in rngs], axis=1)
-        for s in range(k):
-            u = uniforms[s]
-            actions = policy.act(state.p, u[:, :n])
-            chosen = actions[..., None] == channel_ids
-            rates = sample_rates(u[:, n : n + m])
-            payoffs = _contend(game.contention, actions, chosen, rates, u[:, n + m :])
-            policy.update(state, chosen, payoffs)
-            state.slot += 1
-            slot = start + s
-            payoff_log[:, slot] = payoffs
-            if policy.converges:
+        act_u, tiebreak = uniforms[..., :n], uniforms[..., n + m :]
+        rates = sample_rates(uniforms[..., n : n + m])  # [k, T, M]
+        if policy.learns:
+            for s in range(k):
+                actions = policy.act(state.p, act_u[s])
+                chosen = actions[..., None] == channel_ids
+                payoffs = _contend(
+                    game.contention, actions, chosen, rates[s], tiebreak[s]
+                )
+                policy.update(state, chosen, payoffs)
+                state.slot += 1
+                slot = start + s
+                payoff_log[:, slot] = payoffs
                 state.p.max(axis=-1, out=top[s])
+                if config.collect_traces:
+                    trace_p[:, slot] = state.p
+                    trace_q[:, slot] = state.q
+                    trace_a[:, slot] = actions + 1
+        else:
+            # the whole chunk at once: the actions never depend on payoffs
+            actions = policy.act(state.p, act_u)
+            chosen = actions[..., None] == channel_ids
+            payoffs = _contend(game.contention, actions, chosen, rates, tiebreak)
+            state.slot += k
+            window = slice(start, start + k)
+            payoff_log[:, window] = payoffs.swapaxes(0, 1)
             if config.collect_traces:
-                trace_p[:, slot] = state.p
-                trace_q[:, slot] = state.q
-                trace_a[:, slot] = actions + 1
+                trace_p[:, window] = state.p[:, None]
+                trace_q[:, window] = state.q[:, None]
+                trace_a[:, window] = actions.swapaxes(0, 1) + 1
+            actions = actions[-1]  # the last slot's, as the slot loop leaves it
         try:
             policy.check(state)
         except ValueError as err:
@@ -396,7 +434,7 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
                 f"trials {trials[0]}..{trials[-1]} (base seed {config.base_seed}), "
                 f"slot {state.slot}: {err}"
             ) from err
-        if policy.converges:
+        if policy.learns:
             # every user concentrated: learning.is_converged
             hit = top[:k].min(axis=-1) >= 1.0 - config.epsilon
             fresh = (conv < 0) & hit.any(axis=0)
@@ -405,7 +443,7 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
     finals = policy.final_profile(state, actions) + 1
     results = []
     for t, index in enumerate(trials):
-        if policy.converges:
+        if policy.learns:
             conv_slot = int(conv[t]) if conv[t] > 0 else None
         else:
             conv_slot = None if config.random_per_slot else 0

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specgame.channels import ChannelSpec, rayleigh_state_probs, sample_realization
+from conftest import random_channels
+from specgame.channels import (
+    ChannelSpec,
+    RateSampler,
+    rayleigh_state_probs,
+    sample_realization,
+)
 from specgame.config import config_from_dict
 
 RATES_5STATE = (0.0, 1.0, 2.0, 3.0, 6.0)
@@ -185,3 +191,22 @@ class TestSampleRealization:
             rng = np.random.default_rng(99)
             runs.append([sample_realization(specs, rng) for _ in range(1000)])
         assert runs[0] == runs[1]
+
+
+class TestRateSampler:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_chunk_equals_its_slots_and_sample_realization(self, seed):
+        rng = np.random.default_rng(seed)
+        specs = random_channels(rng, int(rng.integers(1, 5)))
+        k, trials, m = 3, 4, len(specs)
+        u = rng.random((k, trials, m))
+        sample = RateSampler(specs)
+        chunk = sample(u)
+        assert chunk.shape == (k, trials, m)
+        assert np.array_equal(chunk, np.stack([sample(u[s]) for s in range(k)]))
+        # the scalar sampler reads the same M uniforms from a generator
+        draws = np.random.default_rng(seed + 1)
+        row = draws.random(m)
+        want = sample_realization(specs, np.random.default_rng(seed + 1))
+        assert tuple(sample(row).tolist()) == want

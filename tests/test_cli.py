@@ -424,6 +424,14 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["eta", "sla_rate_cap"])
+    def test_infinite_json_value_is_config_error(self, key, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{key: float("inf")})  # written as Infinity
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be > 0 and finite, got inf\n"
+        assert not out.exists()
+
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--preset", "fig9"])

@@ -161,6 +161,15 @@ class TestRejection:
         with pytest.raises(ConfigError, match="sla_rate_cap"):
             parse_config(path)
 
+    @pytest.mark.parametrize("key", ["eta", "sla_rate_cap"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_step_and_rate_cap_are_config_errors(self, key, value, tmp_path):
+        # json.dumps writes Infinity and NaN, and json.load reads them back
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**minimal(), key: value}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{key} must be > 0 and finite"):
+            parse_config(path)
+
     def test_sweep_needs_both_fields(self):
         data = minimal()
         data["sweep"] = {"variable": "eta"}

@@ -52,9 +52,10 @@ def reference_trial(config: SimConfig, index: int) -> dict:
     learner = init_state(n, m)
     sla = init_sla(n, m, b=config.sla_gain, r_max=config.rate_cap())
     uniform = np.full((n, m), 1.0 / m)
+    no_estimates = np.zeros((n, m))
     profile = None
     conv_slot = None
-    ps, payoff_log = [], []
+    ps, qs, actions, payoff_log = [], [], [], []
     for slot in range(config.iterations):
         if config.algorithm == "learn":
             profile = select_actions(learner, rng)
@@ -69,17 +70,19 @@ def reference_trial(config: SimConfig, index: int) -> dict:
         if config.algorithm == "learn":
             learner = update_estimates(learner, profile, payoffs, game.thetas, schedule)
             learner = update_probabilities(learner, schedule)
-            p = learner.p
+            p, q = learner.p, learner.q
         elif config.algorithm == "sla":
             sla = sla_update(sla, profile, payoffs)
-            p = sla.p
+            p, q = sla.p, no_estimates
         else:
-            p = uniform
+            p, q = uniform, no_estimates
         if config.algorithm != "random" and conv_slot is None and is_converged(
             p, config.epsilon
         ):
             conv_slot = slot + 1
         ps.append(p)
+        qs.append(q)
+        actions.append(profile)
         payoff_log.append(payoffs)
     if config.algorithm == "random":
         conv_slot = None if config.random_per_slot else 0
@@ -96,6 +99,8 @@ def reference_trial(config: SimConfig, index: int) -> dict:
         "profile": tuple(profile),
         "conv_slot": conv_slot,
         "p": np.array(ps),
+        "q": np.array(qs),
+        "actions": np.array(actions),
         "payoffs": payoff_log,
         "ec_closed": [utility(game, profile, u) for u in range(n)],
         "ec_empirical": [
@@ -138,6 +143,8 @@ def test_engine_matches_scalar_reference(config):
         assert got.conv_slot == want["conv_slot"]
         assert np.abs(got.traces.payoffs - want["payoffs"]).max() <= TOL
         assert np.abs(got.traces.p - want["p"]).max() <= TOL
+        assert np.abs(got.traces.q - want["q"]).max() <= TOL
+        assert np.array_equal(got.traces.actions, want["actions"])
         assert got.ec_closed == pytest.approx(want["ec_closed"], rel=TOL, abs=TOL)
         assert got.ec_empirical == pytest.approx(want["ec_empirical"], rel=TOL, abs=TOL)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -98,6 +100,13 @@ class TestSimConfig:
             with pytest.raises(ValueError, match="sla_rate_cap"):
                 SimConfig(game=TWIN, sla_rate_cap=cap)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_eta_and_sla_rate_cap(self, value):
+        with pytest.raises(ValueError, match="eta must be > 0 and finite"):
+            SimConfig(game=TWIN, eta=value)
+        with pytest.raises(ValueError, match="sla_rate_cap must be > 0 and finite"):
+            SimConfig(game=TWIN, sla_rate_cap=value)
+
     def test_rate_cap_defaults_to_best_rate(self):
         assert SimConfig(game=TWIN).rate_cap() == 6.0
         assert SimConfig(game=TWIN, sla_rate_cap=3.0).rate_cap() == 3.0
@@ -157,6 +166,46 @@ class TestResolveContention:
             on_m = [payoffs[u] for u, a in enumerate(profile) if a == m]
             if on_m:
                 assert sum(on_m) == pytest.approx(rates[m - 1], abs=1e-12)
+
+
+class TestContendShapes:
+    """The engine's contention routine on [T, N] slots and [k, T, N] chunks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(list(Contention)))
+    def test_chunk_equals_its_slots_and_the_scalar_rule(self, seed, model):
+        rng = np.random.default_rng(seed)
+        k, trials = 3, 4
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))  # collisions are common
+        actions = rng.integers(0, m, (k, trials, n))
+        chosen = actions[..., None] == np.arange(m)
+        rates = rng.uniform(0.0, 5.0, (k, trials, m))
+        tiebreak = rng.random((k, trials, m))
+        chunk = simulator._contend(model, actions, chosen, rates, tiebreak)
+        assert chunk.shape == (k, trials, n)
+        slots = [
+            simulator._contend(model, actions[s], chosen[s], rates[s], tiebreak[s])
+            for s in range(k)
+        ]
+        assert np.array_equal(chunk, np.stack(slots))
+        for s in range(k):
+            for t in range(trials):
+                profile = tuple(int(a) + 1 for a in actions[s, t])
+                want = resolve_contention(model, rates[s, t], profile, tiebreak[s, t])
+                assert np.array_equal(chunk[s, t], want)
+
+    def test_slot_winner_rank_counts_from_one(self):
+        # users 1, 2 and 4 share channel 1; floor(0.7 * 3) = 2 picks user 4
+        actions = np.array([[[0, 0, 1, 0]]])
+        chosen = actions[..., None] == np.arange(2)
+        got = simulator._contend(
+            Contention.SLOT_WINNER,
+            actions,
+            chosen,
+            np.array([[[5.0, 1.0]]]),
+            np.array([[[0.7, 0.0]]]),
+        )
+        assert got.tolist() == [[[0.0, 0.0, 1.0, 5.0]]]
 
 
 DOMINANT = GameSpec(
@@ -284,15 +333,35 @@ class TestRunExperiment:
         assert all(run_trial(cfg, i) == full[i] for i in (0, 5))
 
     @pytest.mark.parametrize("block_bytes, chunk_slots", [(1, 1), (3 * 150 * 2 * 8, 7)])
+    @pytest.mark.parametrize("contention", list(Contention))
+    @pytest.mark.parametrize(
+        "algorithm, per_slot",
+        [("learn", False), ("sla", False), ("random", False), ("random", True)],
+    )
     def test_block_and_chunk_sizes_do_not_change_results(
-        self, monkeypatch, block_bytes, chunk_slots
+        self, monkeypatch, block_bytes, chunk_slots, contention, algorithm, per_slot
     ):
-        game = replace(TWIN, contention=Contention.SLOT_WINNER)
-        cfg = SimConfig(game=game, iterations=150, trials=8, base_seed=13, lam=0.3)
+        game = replace(TWIN, contention=contention)
+        cfg = SimConfig(
+            game=game,
+            iterations=150,
+            trials=8,
+            base_seed=13,
+            lam=0.3,
+            algorithm=algorithm,
+            random_per_slot=per_slot,
+            collect_traces=True,
+        )
         default = run_experiment(cfg)
         monkeypatch.setattr(simulator, "BLOCK_BYTES", block_bytes)
         monkeypatch.setattr(simulator, "CHUNK_SLOTS", chunk_slots)
-        assert run_experiment(cfg) == default
+        got = run_experiment(cfg).results
+        assert len(got) == len(default.results)
+        for a, b in zip(got, default.results):
+            # traces compare by identity, so compare them field by field
+            assert replace(a, traces=None) == replace(b, traces=None)
+            for field in ("p", "q", "actions", "payoffs"):
+                assert np.array_equal(getattr(a.traces, field), getattr(b.traces, field))
 
     def test_summary_permutation_invariant(self):
         cfg = SimConfig(game=TWIN, iterations=100, trials=6, base_seed=3)
