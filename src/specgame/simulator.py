@@ -238,7 +238,7 @@ class BlockState:
 
     p: np.ndarray  # [T, N, M]
     q: np.ndarray  # [T, N, M], zero for policies without estimates
-    slot: int = 0  # slots completed
+    slot: int = 0  # slots a learner has completed; its step size reads it
 
 
 class Policy:
@@ -266,7 +266,8 @@ class Policy:
         check_simplex_rows(state.p)
 
     def final_profile(self, state: BlockState, actions: np.ndarray) -> np.ndarray:
-        """The 0-based profile a trial ends on, [T, N]."""
+        """The 0-based profile a trial ends on, [T, N], given what the last
+        call to `act` returned."""
         return state.p.argmax(axis=-1)
 
 
@@ -327,7 +328,7 @@ class RandomPolicy(Policy):
         return np.broadcast_to(self.held, u.shape)
 
     def final_profile(self, state, actions):
-        return actions
+        return actions[-1]  # the last chunk's last slot
 
 
 POLICIES = {"learn": LearnPolicy, "sla": SLAPolicy, "random": RandomPolicy}
@@ -385,11 +386,12 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
     state = BlockState(p=np.full((size, n, m), 1.0 / m), q=np.zeros((size, n, m)))
     sample_rates = RateSampler(game.channels)
     channel_ids = np.arange(m)
-    payoff_log = np.empty((size, slots, n))
+    # per-slot logs, slot-major, so one slot or one chunk writes as one row
+    payoff_log = np.empty((slots, size, n))
     if config.collect_traces:
-        trace_p = np.empty((size, slots, n, m))
-        trace_q = np.empty((size, slots, n, m))
-        trace_a = np.empty((size, slots, n), dtype=int)
+        trace_p = np.empty((slots, size, n, m))
+        trace_q = np.empty((slots, size, n, m))
+        trace_a = np.empty((slots, size, n), dtype=int)
     conv = np.full(size, -1)  # -1: not converged yet
     top = np.empty((CHUNK_SLOTS, size, n))  # per slot: max_m p
 
@@ -398,41 +400,29 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
         uniforms = np.stack([rng.random((k, n + 2 * m)) for rng in rngs], axis=1)
         act_u, tiebreak = uniforms[..., :n], uniforms[..., n + m :]
         rates = sample_rates(uniforms[..., n : n + m])  # [k, T, M]
-        if policy.learns:
-            for s in range(k):
-                actions = policy.act(state.p, act_u[s])
-                chosen = actions[..., None] == channel_ids
-                payoffs = _contend(
-                    game.contention, actions, chosen, rates[s], tiebreak[s]
-                )
+        window = slice(start, start + k)
+        payoffs_at = payoff_log[window]
+        if config.collect_traces:
+            p_at, q_at, a_at = trace_p[window], trace_q[window], trace_a[window]
+        # a learner steps slot by slot, since each slot's actions depend on
+        # the last update; a policy that does not learn takes the whole chunk
+        for s in range(k) if policy.learns else (slice(0, k),):
+            actions = policy.act(state.p, act_u[s])
+            chosen = actions[..., None] == channel_ids
+            payoffs = _contend(game.contention, actions, chosen, rates[s], tiebreak[s])
+            if policy.learns:
                 policy.update(state, chosen, payoffs)
                 state.slot += 1
-                slot = start + s
-                payoff_log[:, slot] = payoffs
                 state.p.max(axis=-1, out=top[s])
-                if config.collect_traces:
-                    trace_p[:, slot] = state.p
-                    trace_q[:, slot] = state.q
-                    trace_a[:, slot] = actions + 1
-        else:
-            # the whole chunk at once: the actions never depend on payoffs
-            actions = policy.act(state.p, act_u)
-            chosen = actions[..., None] == channel_ids
-            payoffs = _contend(game.contention, actions, chosen, rates, tiebreak)
-            state.slot += k
-            window = slice(start, start + k)
-            payoff_log[:, window] = payoffs.swapaxes(0, 1)
+            payoffs_at[s] = payoffs
             if config.collect_traces:
-                trace_p[:, window] = state.p[:, None]
-                trace_q[:, window] = state.q[:, None]
-                trace_a[:, window] = actions.swapaxes(0, 1) + 1
-            actions = actions[-1]  # the last slot's, as the slot loop leaves it
+                p_at[s], q_at[s], a_at[s] = state.p, state.q, actions + 1
         try:
             policy.check(state)
         except ValueError as err:
             raise ValueError(
                 f"trials {trials[0]}..{trials[-1]} (base seed {config.base_seed}), "
-                f"slot {state.slot}: {err}"
+                f"slot {start + k}: {err}"
             ) from err
         if policy.learns:
             # every user concentrated: learning.is_converged
@@ -450,10 +440,15 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
         traces = None
         if config.collect_traces:
             traces = TrialTraces(
-                p=trace_p[t], q=trace_q[t], actions=trace_a[t], payoffs=payoff_log[t]
+                p=trace_p[:, t],
+                q=trace_q[:, t],
+                actions=trace_a[:, t],
+                payoffs=payoff_log[:, t],
             )
         profile = tuple(int(a) for a in finals[t])
-        results.append(_score(config, index, profile, conv_slot, payoff_log[t], traces))
+        results.append(
+            _score(config, index, profile, conv_slot, payoff_log[:, t], traces)
+        )
     return results
 
 

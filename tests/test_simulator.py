@@ -332,14 +332,14 @@ class TestRunExperiment:
         assert fewer == full[:3]
         assert all(run_trial(cfg, i) == full[i] for i in (0, 5))
 
-    @pytest.mark.parametrize("block_bytes, chunk_slots", [(1, 1), (3 * 150 * 2 * 8, 7)])
+    @pytest.mark.parametrize("block_trials, chunk_slots", [(1, 1), (3, 7)])
     @pytest.mark.parametrize("contention", list(Contention))
     @pytest.mark.parametrize(
         "algorithm, per_slot",
         [("learn", False), ("sla", False), ("random", False), ("random", True)],
     )
     def test_block_and_chunk_sizes_do_not_change_results(
-        self, monkeypatch, block_bytes, chunk_slots, contention, algorithm, per_slot
+        self, monkeypatch, block_trials, chunk_slots, contention, algorithm, per_slot
     ):
         game = replace(TWIN, contention=contention)
         cfg = SimConfig(
@@ -353,11 +353,22 @@ class TestRunExperiment:
             collect_traces=True,
         )
         default = run_experiment(cfg)
-        monkeypatch.setattr(simulator, "BLOCK_BYTES", block_bytes)
+        blocks = []
+        run_block = simulator._run_block
+        monkeypatch.setattr(
+            simulator,
+            "_run_block",
+            lambda config, trials: blocks.append(len(trials)) or run_block(config, trials),
+        )
+        monkeypatch.setattr(
+            simulator, "BLOCK_BYTES", block_trials * simulator._trial_bytes(cfg)
+        )
         monkeypatch.setattr(simulator, "CHUNK_SLOTS", chunk_slots)
-        got = run_experiment(cfg).results
-        assert len(got) == len(default.results)
-        for a, b in zip(got, default.results):
+        got = run_experiment(cfg)
+        assert blocks == ([1] * 8 if block_trials == 1 else [3, 3, 2])
+        assert replace(got, results=()) == replace(default, results=())
+        assert len(got.results) == len(default.results)
+        for a, b in zip(got.results, default.results):
             # traces compare by identity, so compare them field by field
             assert replace(a, traces=None) == replace(b, traces=None)
             for field in ("p", "q", "actions", "payoffs"):
