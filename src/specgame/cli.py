@@ -12,11 +12,11 @@ Exit codes: 0 on success, 1 on runtime failure, 2 on bad usage or config.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from dataclasses import fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from specgame.config import (
 )
 from specgame.dynamics import integrate
 from specgame.game import (
+    TIE_TOL,
     Contention,
     enumerate_nash,
     potential_maximizer,
@@ -50,7 +51,10 @@ from specgame.simulator import ExperimentSummary, run_experiment, run_trial, swe
 
 ODE_DT = 0.02
 
-TRACE_CHUNK = 128  # slots of trace.csv joined and written at once
+# Rows of a CSV, and items of a list in analysis.json, formatted and written at
+# once: one string of a whole file would set the command's peak memory.
+CSV_ROWS = 4096
+JSON_ITEMS = 1024
 
 # the across-trial columns of sweep.csv, in field order
 SUMMARY_FIELDS = tuple(f.name for f in fields(ExperimentSummary) if f.name != "results")
@@ -62,20 +66,95 @@ FAIR_SHARE_NOTE = (
 )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _cells(column) -> list[str]:
+    """The CSV cells of one column, formatted column-wise.
+
+    A float array gives float.__repr__ of each entry through one tolist(),
+    with NaN, a missing value, left empty; an integer array gives str of each
+    entry. A list holds str, int or None, and None is left empty. Cells are
+    never quoted, so none may hold a comma, a quote or a line break.
+    """
+    if not isinstance(column, np.ndarray):
+        cells = ["" if v is None else str(v) for v in column]
+        if not set(',"\r\n').isdisjoint("".join(cells)):
+            raise ValueError(f"CSV cells would need quoting: {cells!r}")
+        return cells
+    values = column.ravel()
+    if values.dtype.kind in "iu":
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo >= values.size:
+            return list(map(str, values.tolist()))
+        # a narrow range (slots, users, channels): each value formatted once
+        table = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
+        return table[values - lo].tolist()
+    known = ~np.isnan(values)
+    if known.all():
+        return repr(values.tolist())[1:-1].split(", ")
+    cells = np.full(values.size, "", dtype=object)
+    # with no known entry the split gives [""], which fills no cell
+    cells[known] = repr(values[known].tolist())[1:-1].split(", ")
+    return cells.tolist()
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, header, columns) -> None:
+    """A CSV with one row per entry of the columns, built column by column.
+
+    The columns are arrays or lists of one shape; rows follow its entries in
+    C order. About CSV_ROWS rows, a run along the first axis, are formatted
+    and written at once.
+    """
+    step = max(1, CSV_ROWS // math.prod(np.shape(columns[0])[1:]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), step):
+            cells = [_cells(column[start : start + step]) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+_SCALARS = {int, float, bool, type(None)}
+
+
+def _json_items(items) -> str:
+    """List items two levels deep, each on its lines as indent=2 writes them.
+
+    Numbers, and lists of numbers, go through the C encoder and are indented
+    by replacing its separators, which no number contains; anything else,
+    strings above all, is encoded item by item with indent=2.
+    """
+    kinds = set(map(type, items))
+    if kinds <= _SCALARS:
+        return json.dumps(items)[1:-1].replace(", ", ",\n    ")
+    if (
+        kinds <= {list, tuple}
+        and all(items)
+        and set(map(type, chain.from_iterable(items))) <= _SCALARS
+    ):
+        rows = json.dumps(items)[2:-2].replace("], [", "\n    ],\n    [\n      ")
+        return "[\n      " + rows.replace(", ", ",\n      ") + "\n    ]"
+    return ",\n    ".join(json.dumps(item, indent=2).replace("\n", "\n    ") for item in items)
+
+
+def _write_json(path: Path, doc: dict[str, object]) -> None:
+    """The bytes of json.dumps(doc, indent=2) and a newline, one key at a time.
+
+    json.dumps with an indent always runs the pure-Python encoder, one write
+    per token. Here a list is written JSON_ITEMS items at a time through
+    _json_items, and any other value is json.dumps(value, indent=2) shifted
+    one level.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("{")
+        for i, (key, value) in enumerate(doc.items()):
+            fh.write(f"{',' if i else ''}\n  {json.dumps(key)}: ")
+            if isinstance(value, (list, tuple)) and value:
+                fh.write("[\n    ")
+                for start in range(0, len(value), JSON_ITEMS):
+                    fh.write(",\n    " if start else "")
+                    fh.write(_json_items(value[start : start + JSON_ITEMS]))
+                fh.write("\n  ]")
+            else:
+                fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+        fh.write("\n}\n" if doc else "}\n")
 
 
 def _load(args) -> ExperimentConfig:
@@ -106,17 +185,24 @@ def cmd_analyze(cfg: ExperimentConfig, out: Path, args) -> int:
     if game.homogeneous_theta() is not None:
         maximizer = potential_maximizer(game)
     note = maximizer is not None and game.contention is Contention.SLOT_WINNER
+    best, best_profile = None, None
+    if profiles:
+        # equilibria of equal welfare differ in rounding only: take the first,
+        # in enumerate_nash's lexicographic order, within TIE_TOL of the best
+        best = max(aggregates)
+        floor = best - TIE_TOL * abs(best)
+        best_profile = next(p for p, a in zip(profiles, aggregates) if a >= floor)
     analysis = {
         "n_users": game.n_users,
         "n_channels": game.n_channels,
         "contention": game.contention.value,
-        "thetas": list(game.thetas),
+        "thetas": game.thetas,
         "nash_count": len(profiles),
-        "nash_profiles": [list(p) for p in profiles],
+        "nash_profiles": profiles,
         "nash_aggregate_ec": aggregates,
-        "best_nash_profile": list(max(zip(aggregates, profiles))[1]) if profiles else None,
-        "best_nash_aggregate_ec": max(aggregates) if aggregates else None,
-        "potential_maximizer": list(maximizer) if maximizer else None,
+        "best_nash_profile": best_profile,
+        "best_nash_aggregate_ec": best,
+        "potential_maximizer": maximizer,
         **({"potential_note": FAIR_SHARE_NOTE} if note else {}),
         "potential_check": {
             "exhaustive": report.exhaustive,
@@ -126,11 +212,7 @@ def cmd_analyze(cfg: ExperimentConfig, out: Path, args) -> int:
             "opg_zero_mismatches": report.opg_zero_mismatches,
         },
     }
-    with open(out / "analysis.json", "w", encoding="utf-8") as fh:
-        # streamed: one string of the whole document would set the peak memory
-        json.dump(analysis, fh, indent=2)
-        fh.write("\n")
-    best = analysis["best_nash_aggregate_ec"]
+    _write_json(out / "analysis.json", analysis)
     best_txt = f", best aggregate EC {best:.4f}" if best is not None else ""
     max_txt = ""
     if maximizer is not None:
@@ -143,31 +225,24 @@ def cmd_analyze(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """float.__repr__ of every entry, in C order, as _fmt writes a float."""
-    return repr(values.ravel().tolist())[1:-1].split(", ")
-
-
 def _write_trace(path: Path, traces) -> None:
-    """trace.csv, with the bytes _write_csv would give, built column by column.
-
-    Rows go slot by slot, then user, then channel; `payoff` is filled on the
-    row of the channel the user took. Each TRACE_CHUNK slots are joined and
-    written at once, which bounds the strings held in memory.
-    """
-    _, n, m = traces.p.shape
-    cells = [f"{u},{c}" for u in range(1, n + 1) for c in range(1, m + 1)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("slot,user,channel,p,q,payoff\n")
-        for start in range(0, len(traces.p), TRACE_CHUNK):
-            chunk = slice(start, start + TRACE_CHUNK)
-            actions = traces.actions[chunk].ravel()
-            payoff = np.full(actions.size * m, "", dtype=object)
-            payoff[np.arange(actions.size) * m + actions - 1] = _reprs(traces.payoffs[chunk])
-            slots = range(start + 1, start + len(traces.p[chunk]) + 1)
-            prefix = [f"{s},{cell}" for s in slots for cell in cells]
-            rows = zip(prefix, _reprs(traces.p[chunk]), _reprs(traces.q[chunk]), payoff.tolist())
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+    """trace.csv: rows by slot, then user, then channel; `payoff` is filled on
+    the row of the channel the user took and empty (NaN) on the others."""
+    shape = traces.p.shape
+    payoff = np.full(shape, np.nan)
+    np.put_along_axis(payoff, traces.actions[..., None] - 1, traces.payoffs[..., None], axis=2)
+    _write_csv(
+        path,
+        ("slot", "user", "channel", "p", "q", "payoff"),
+        (
+            np.broadcast_to(np.arange(1, shape[0] + 1)[:, None, None], shape),
+            np.broadcast_to(np.arange(1, shape[1] + 1)[:, None], shape),
+            np.broadcast_to(np.arange(1, shape[2] + 1), shape),
+            traces.p,
+            traces.q,
+            payoff,
+        ),
+    )
 
 
 def _running_aggregate(payoffs: np.ndarray, thetas) -> np.ndarray:
@@ -182,19 +257,15 @@ def cmd_learn(cfg: ExperimentConfig, out: Path, args) -> int:
     sim = replace(cfg.sim, collect_traces=True)
     result = run_trial(sim, 0)
     _write_trace(out / "trace.csv", result.traces)
-    final_p = result.traces.p[-1]
     _write_csv(
         out / "users.csv",
         ("user", "channel", "p_max", "ec_closed_form", "ec_empirical"),
         (
-            (
-                u + 1,
-                result.profile[u],
-                float(final_p[u].max()),
-                result.ec_closed[u],
-                result.ec_empirical[u],
-            )
-            for u in range(sim.game.n_users)
+            np.arange(1, sim.game.n_users + 1),
+            np.array(result.profile),
+            result.traces.p[-1].max(axis=1),
+            np.array(result.ec_closed),
+            np.array(result.ec_empirical),
         ),
     )
     if cfg.plot:
@@ -222,34 +293,35 @@ def cmd_learn(cfg: ExperimentConfig, out: Path, args) -> int:
 def cmd_experiment(cfg: ExperimentConfig, out: Path, args) -> int:
     sim = cfg.sim
     summary = run_experiment(sim)
+    results = summary.results
+    trial_ids = np.array([r.trial for r in results])
     _write_csv(
         out / "trials.csv",
         ("trial", "conv_slot", "agg_ec_closed", "agg_ec_empirical", "profile"),
         (
-            (
-                r.trial,
-                r.conv_slot,
-                r.agg_ec_closed,
-                r.agg_ec_empirical,
-                "|".join(str(a) for a in r.profile),
-            )
-            for r in summary.results
+            trial_ids,
+            [r.conv_slot for r in results],
+            np.array([r.agg_ec_closed for r in results]),
+            np.array([r.agg_ec_empirical for r in results]),
+            ["|".join(map(str, r.profile)) for r in results],
         ),
     )
+    shape = (len(results), sim.game.n_users)
     _write_csv(
         out / "users.csv",
         ("trial", "user", "channel", "ec_closed_form", "ec_empirical"),
         (
-            (r.trial, u + 1, r.profile[u], r.ec_closed[u], r.ec_empirical[u])
-            for r in summary.results
-            for u in range(sim.game.n_users)
+            np.broadcast_to(trial_ids[:, None], shape),
+            np.broadcast_to(np.arange(1, shape[1] + 1), shape),
+            np.array([r.profile for r in results]),
+            np.array([r.ec_closed for r in results]),
+            np.array([r.ec_empirical for r in results]),
         ),
     )
     if args.trace:
         traced = run_trial(replace(sim, collect_traces=True), 0)
         _write_trace(out / "trace.csv", traced.traces)
     if cfg.plot:
-        results = summary.results
         (out / "aggregate_ec.svg").write_text(
             trials_chart(
                 [r.trial for r in results],
@@ -272,13 +344,14 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
         out / "sweep.csv",
         ("variable", "value", "trials", *SUMMARY_FIELDS),
         (
-            (
-                pt.variable,
-                pt.value,
-                len(pt.summary.results),
-                *(getattr(pt.summary, name) for name in SUMMARY_FIELDS),
-            )
-            for pt in points
+            [pt.variable for pt in points],
+            np.array([pt.value for pt in points]),
+            np.array([len(pt.summary.results) for pt in points]),
+            # mean_conv_slot None becomes NaN, an empty cell
+            *(
+                np.array([getattr(pt.summary, name) for pt in points], dtype=float)
+                for name in SUMMARY_FIELDS
+            ),
         ),
     )
     if cfg.plot:
@@ -291,7 +364,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
             ),
             encoding="utf-8",
         )
-    values = ", ".join(_fmt(pt.value) for pt in points)
+    values = ", ".join(repr(pt.value) for pt in points)
     print(
         f"sweep: {cfg.sweep_variable} over [{values}], "
         f"{len(points)} experiments -> {out}"
@@ -314,13 +387,10 @@ def cmd_ode(cfg: ExperimentConfig, out: Path, args) -> int:
         out / "ode.csv",
         ("step", "phi", "max_rhs", *p_cols),
         (
-            (
-                step,
-                None if math.isnan(traj.potentials[step]) else traj.potentials[step],
-                traj.max_rhs[step],
-                *traj.strategies[step].ravel(),
-            )
-            for step in range(len(traj.potentials))
+            np.arange(len(traj.potentials)),
+            traj.potentials,  # NaN, an empty cell, without a common exponent
+            traj.max_rhs,
+            *traj.strategies.reshape(len(traj.potentials), -1).T,
         ),
     )
     if cfg.plot:
@@ -385,8 +455,7 @@ def main(argv=None) -> int:
         cfg = _load(args)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(config_to_dict(cfg), indent=2) + "\n"
-        (out / "resolved_config.json").write_text(text, encoding="utf-8")
+        _write_json(out / "resolved_config.json", config_to_dict(cfg))
         return args.func(cfg, out, args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -1,11 +1,22 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specgame.cli import TRACE_CHUNK, _write_csv, _write_trace, main
-from specgame.config import PRESETS, config_from_dict, config_to_dict, parse_config
+from specgame.cli import (
+    CSV_ROWS,
+    FAIR_SHARE_NOTE,
+    JSON_ITEMS,
+    _write_csv,
+    _write_json,
+    _write_trace,
+    main,
+)
+from specgame.config import PRESETS, config_from_dict, config_to_dict, parse_config, preset_config
 from specgame import simulator
 from specgame.plots import Series, line_chart
 from specgame.simulator import TrialTraces
@@ -34,6 +45,23 @@ def write_config(tmp_path, name="cfg.json", **overrides):
 def read_rows(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_rows(path, header, rows) -> None:
+    """The reference CSV writer: csv.writer, one row of _fmt cells at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(cell) for cell in row])
 
 
 class TestAnalyze:
@@ -131,11 +159,16 @@ def trace_rows(traces):
                 )
 
 
+EDGE_FLOATS = [-0.0, 0.0, 1e-05, 1e16, 0.1 + 0.2, 3.0, -2.0, 1 / 3, 5e-324, math.inf, -math.inf]
+
+TRACE_SLOTS = CSV_ROWS // 12  # slots of a 3-user, 4-channel trace in one chunk
+
+
 class TestTraceWriter:
     VALUES = np.array([-0.0, 0.0, 1e-05, 1e16, 0.1 + 0.2, 3.0, -2.0, 1 / 3, 5e-324])
 
     @pytest.mark.parametrize(
-        "slots", [1, TRACE_CHUNK - 1, TRACE_CHUNK, TRACE_CHUNK + 1, 2 * TRACE_CHUNK + 45]
+        "slots", [1, TRACE_SLOTS - 1, TRACE_SLOTS, TRACE_SLOTS + 1, 2 * TRACE_SLOTS + 45]
     )
     def test_bytes_match_the_csv_writer(self, tmp_path, slots):
         rng = np.random.default_rng(slots)
@@ -147,12 +180,169 @@ class TestTraceWriter:
             payoffs=rng.choice(self.VALUES, size=(slots, n)),
         )
         _write_trace(tmp_path / "fast.csv", traces)
-        _write_csv(
+        write_rows(
             tmp_path / "rows.csv",
             ("slot", "user", "channel", "p", "q", "payoff"),
             trace_rows(traces),
         )
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+class TestCsvWriter:
+    """_write_csv against the csv.writer reference, on tables shaped like each CSV."""
+
+    ROW_COUNTS = [1, CSV_ROWS - 1, CSV_ROWS, CSV_ROWS + 1]
+
+    @staticmethod
+    def same_bytes(tmp_path, header, columns, rows):
+        _write_csv(tmp_path / "fast.csv", header, columns)
+        write_rows(tmp_path / "rows.csv", header, rows)
+        return (tmp_path / "fast.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_int_none_float_and_profile_columns(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        trial = np.arange(n)
+        conv = [None if c < 0 else int(c) for c in rng.integers(-2, 3000, size=n)]
+        closed = rng.choice(EDGE_FLOATS, size=n)
+        empirical = rng.random(n) * 10
+        profile = ["|".join(map(str, p)) for p in rng.integers(1, 6, size=(n, 5)).tolist()]
+        wide = rng.integers(-(2**62), 2**62, size=n)
+        header = ("trial", "conv_slot", "agg_ec_closed", "agg_ec_empirical", "profile", "wide")
+        columns = (trial, conv, closed, empirical, profile, wide)
+        rows = zip(trial.tolist(), conv, closed.tolist(), empirical.tolist(), profile, wide)
+        assert self.same_bytes(tmp_path, header, columns, rows)
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_nan_phi_is_an_empty_cell(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        phi = rng.choice(EDGE_FLOATS + [math.nan], size=n)
+        max_rhs = rng.random(n)
+        strategies = rng.dirichlet(np.ones(3), size=(n, 2)).reshape(n, -1)
+        header = ("step", "phi", "max_rhs", "p_1_1", "p_1_2", "p_1_3", "p_2_1", "p_2_2", "p_2_3")
+        columns = (np.arange(n), phi, max_rhs, *strategies.T)
+        rows = (
+            (step, None if math.isnan(v) else v, r, *s)
+            for step, (v, r, s) in enumerate(zip(phi.tolist(), max_rhs.tolist(), strategies))
+        )
+        assert self.same_bytes(tmp_path, header, columns, rows)
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    def test_columns_of_one_shape_give_rows_in_c_order(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        users = 3
+        trial = np.arange(n)
+        channel = rng.integers(1, 6, size=(n, users))
+        ec = rng.choice(EDGE_FLOATS, size=(n, users))
+        shape = (n, users)
+        columns = (
+            np.broadcast_to(trial[:, None], shape),
+            np.broadcast_to(np.arange(1, users + 1), shape),
+            channel,
+            ec,
+        )
+        rows = (
+            (t, u + 1, channel[t, u], ec[t, u]) for t in range(n) for u in range(users)
+        )
+        assert self.same_bytes(tmp_path, ("trial", "user", "channel", "ec"), columns, rows)
+
+    def test_sweep_table_with_missing_mean(self, tmp_path):
+        values = [0.05, 0.1, 1e16]
+        means = [12.5, None, 5e-324]
+        columns = (
+            ["eta"] * 3,
+            np.array(values),
+            np.array([2, 2, 2]),
+            np.array(means, dtype=float),
+        )
+        rows = zip(["eta"] * 3, values, [2, 2, 2], means)
+        header = ("variable", "value", "trials", "mean_conv_slot")
+        assert self.same_bytes(tmp_path, header, columns, rows)
+
+    def test_header_only_when_there_are_no_rows(self, tmp_path):
+        assert self.same_bytes(tmp_path, ("a", "b"), (np.zeros(0), []), [])
+
+    @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "cr\r"])
+    def test_a_cell_that_needs_quoting_is_refused(self, tmp_path, cell):
+        with pytest.raises(ValueError, match="quoting"):
+            _write_csv(tmp_path / "x.csv", ("a", "b"), (np.arange(2), ["ok", cell]))
+
+
+_NUMBERS = (
+    st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 1e16, 5e-324, 0.1 + 0.2, math.nan, math.inf, -math.inf])
+    | st.booleans()
+    | st.none()
+)
+_TEXT = st.text(max_size=8) | st.sampled_from(
+    ["a, b", "1, 2", '"quoted"', "line\nbreak", "caf\u00e9, \u4e2d", "], [", FAIR_SHARE_NOTE]
+)
+_VALUES = st.recursive(
+    _NUMBERS | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+_LISTS = st.one_of(
+    [
+        st.lists(cells, max_size=6)
+        for cells in (
+            _NUMBERS,
+            _NUMBERS | _TEXT,
+            st.lists(_NUMBERS, max_size=4),
+            st.lists(_NUMBERS, max_size=4).map(tuple),
+            st.lists(_NUMBERS | _TEXT, max_size=4),
+        )
+    ]
+)
+
+
+def json_bytes(tmp_path, doc) -> tuple[bytes, bytes]:
+    _write_json(tmp_path / "doc.json", doc)
+    return (tmp_path / "doc.json").read_bytes(), (json.dumps(doc, indent=2) + "\n").encode()
+
+
+class TestJsonWriter:
+    """_write_json gives the bytes of json.dumps(doc, indent=2) and a newline."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=st.dictionaries(_TEXT, _VALUES | _LISTS, max_size=6))
+    def test_random_documents(self, tmp_path_factory, doc):
+        fast, reference = json_bytes(tmp_path_factory.getbasetemp(), doc)
+        assert fast == reference
+
+    @pytest.mark.parametrize("rows", [1, JSON_ITEMS - 1, JSON_ITEMS, JSON_ITEMS + 1])
+    def test_profile_lists_around_the_chunk(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        profiles = list(zip(*(rng.integers(1, 6, size=(8, rows)).tolist())))
+        doc = {
+            "n_users": 8,
+            "thetas": (0.01,) * 8,
+            "nash_profiles": profiles,
+            "nash_aggregate_ec": rng.random(rows).tolist(),
+            "lists": [list(p) for p in profiles],
+            "notes": ["a, b", FAIR_SHARE_NOTE],
+            "rows": [[1, "2, 3"], [4, 5]],
+            "potential_note": FAIR_SHARE_NOTE,
+            "potential_check": {"deviations_checked": 2**70 * 70, "exhaustive": True},
+        }
+        fast, reference = json_bytes(tmp_path, doc)
+        assert fast == reference
+
+    @pytest.mark.parametrize("rows", [JSON_ITEMS + 1, 2 * JSON_ITEMS + 3])
+    def test_a_chunk_of_other_items_between_profile_chunks(self, tmp_path, rows):
+        profiles = [(1, 2, 3)] * rows
+        profiles[JSON_ITEMS] = "1, 2, 3"
+        profiles[-1] = ()
+        fast, reference = json_bytes(tmp_path, {"nash_profiles": profiles})
+        assert fast == reference
+
+    def test_empty_document_and_values(self, tmp_path):
+        for doc in ({}, {"a": [], "b": (), "c": {}, "d": ""}):
+            fast, reference = json_bytes(tmp_path, doc)
+            assert fast == reference
 
 
 class TestExperiment:
@@ -375,11 +565,40 @@ class TestOde:
 def test_every_preset_runs_analyze_and_ode(preset, tmp_path):
     out = tmp_path / "out"
     assert main(["analyze", "--preset", preset, "--out", str(out)]) == 0
-    analysis = json.loads((out / "analysis.json").read_text())
+    text = (out / "analysis.json").read_text(encoding="utf-8")
+    analysis = json.loads(text)
+    assert text == json.dumps(analysis, indent=2) + "\n"
     assert analysis["nash_count"] == len(analysis["nash_profiles"]) >= 1
     argv = ["ode", "--preset", preset, "--iterations", "5", "--out", str(out)]
     assert main(argv) == 0
-    assert len(read_rows(out / "ode.csv")) == 6
+    rows = read_rows(out / "ode.csv")
+    assert len(rows) == 6
+    mixed = preset_config(preset).sim.game.homogeneous_theta() is None
+    assert [r["phi"] == "" for r in rows] == [mixed] * 6
+
+
+@pytest.mark.parametrize(
+    "preset, best",
+    [
+        ("fig2", [1, 2, 3, 3, 4, 4, 5, 5]),
+        ("eta_sweep", [1, 2, 3, 3, 4, 4, 5, 5]),
+        ("users_strict", [1, 2, 3, 4, 5]),
+        ("users_loose", [1, 2, 3, 4, 5]),
+        ("sla_mix", [3, 3, 1, 2, 2, 5, 4, 4, 5]),
+    ],
+)
+def test_best_nash_profile_is_the_first_of_the_rounding_ties(preset, best, tmp_path):
+    # equilibria of equal welfare differ by 1-2 ulp in their summed aggregate
+    assert main(["analyze", "--preset", preset, "--out", str(tmp_path)]) == 0
+    analysis = json.loads((tmp_path / "analysis.json").read_text(encoding="utf-8"))
+    top = analysis["best_nash_aggregate_ec"]
+    assert top == max(analysis["nash_aggregate_ec"])
+    ties = [
+        p
+        for p, agg in zip(analysis["nash_profiles"], analysis["nash_aggregate_ec"])
+        if agg >= top - 1e-12 * top
+    ]
+    assert analysis["best_nash_profile"] == min(ties) == best
 
 
 class TestErrors:
