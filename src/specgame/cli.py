@@ -66,34 +66,58 @@ FAIR_SHARE_NOTE = (
 )
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """float.__repr__ of each entry of a float array, in C order, NaN left empty.
+
+    An entry with the same bits as the one before it along axis 0 (the slot
+    axis of trace columns) reuses that entry's string instead of formatting
+    its own, through an index that np.maximum.accumulate carries down axis 0.
+    With no such repeat, the whole array goes through one tolist().
+    """
+    flat = values.ravel()
+    if len(values) > 1:
+        bits = values.view(np.int64)
+        same = bits[1:] == bits[:-1]
+        if same.any():
+            index = np.arange(flat.size)
+            source = index.reshape(values.shape).copy()
+            source[1:][same] = 0
+            source = np.maximum.accumulate(source, axis=0).ravel()
+            new = source == index
+            cells = np.empty(flat.size, dtype=object)
+            cells[new] = _reprs(flat[new])
+            return cells[source].tolist()
+    known = ~np.isnan(flat)
+    if known.all():
+        return repr(flat.tolist())[1:-1].split(", ")
+    cells = np.full(flat.size, "", dtype=object)
+    # with no known entry the split gives [""], which fills no cell
+    cells[known] = repr(flat[known].tolist())[1:-1].split(", ")
+    return cells.tolist()
+
+
 def _cells(column) -> list[str]:
     """The CSV cells of one column, formatted column-wise.
 
-    A float array gives float.__repr__ of each entry through one tolist(),
-    with NaN, a missing value, left empty; an integer array gives str of each
-    entry. A list holds str, int or None, and None is left empty. Cells are
-    never quoted, so none may hold a comma, a quote or a line break.
+    A float array gives _reprs of its entries, with NaN, a missing value,
+    left empty; an integer array gives str of each entry. A list holds str,
+    int or None, and None is left empty. Cells are never quoted, so none may
+    hold a comma, a quote or a line break.
     """
     if not isinstance(column, np.ndarray):
         cells = ["" if v is None else str(v) for v in column]
         if not set(',"\r\n').isdisjoint("".join(cells)):
             raise ValueError(f"CSV cells would need quoting: {cells!r}")
         return cells
+    if column.dtype.kind not in "iu":
+        return _reprs(column)
     values = column.ravel()
-    if values.dtype.kind in "iu":
-        lo, hi = int(values.min()), int(values.max())
-        if hi - lo >= values.size:
-            return list(map(str, values.tolist()))
-        # a narrow range (slots, users, channels): each value formatted once
-        table = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
-        return table[values - lo].tolist()
-    known = ~np.isnan(values)
-    if known.all():
-        return repr(values.tolist())[1:-1].split(", ")
-    cells = np.full(values.size, "", dtype=object)
-    # with no known entry the split gives [""], which fills no cell
-    cells[known] = repr(values[known].tolist())[1:-1].split(", ")
-    return cells.tolist()
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo >= values.size:
+        return list(map(str, values.tolist()))
+    # a narrow range (slots, users, channels): each value formatted once
+    table = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
+    return table[values - lo].tolist()
 
 
 def _write_csv(path: Path, header, columns) -> None:
@@ -117,11 +141,17 @@ _SCALARS = {int, float, bool, type(None)}
 def _json_items(items) -> str:
     """List items two levels deep, each on its lines as indent=2 writes them.
 
-    Numbers, and lists of numbers, go through the C encoder and are indented
-    by replacing its separators, which no number contains; anything else,
-    strings above all, is encoded item by item with indent=2.
+    Finite floats are their _reprs, which reuse the string of an item equal
+    bit for bit to the one before it. Other numbers, and lists of numbers, go
+    through the C encoder and are indented by replacing its separators, which
+    no number contains; anything else, strings above all, is encoded item by
+    item with indent=2.
     """
     kinds = set(map(type, items))
+    if kinds == {float}:
+        values = np.array(items)
+        if np.isfinite(values).all():
+            return ",\n    ".join(_reprs(values))
     if kinds <= _SCALARS:
         return json.dumps(items)[1:-1].replace(", ", ",\n    ")
     if (
@@ -279,7 +309,7 @@ def cmd_learn(cfg: ExperimentConfig, out: Path, args) -> int:
             )
         agg = _running_aggregate(traces.payoffs, sim.game.thetas)
         (out / "aggregate.svg").write_text(
-            aggregate_chart(range(1, len(agg) + 1), agg.tolist()), encoding="utf-8"
+            aggregate_chart(np.arange(1, len(agg) + 1), agg), encoding="utf-8"
         )
     conv = "never" if result.conv_slot is None else f"slot {result.conv_slot}"
     profile = "|".join(str(a) for a in result.profile)

@@ -534,13 +534,17 @@ def total_utility(game: GameSpec, profiles: Sequence[Sequence[int]]) -> np.ndarr
     N, M = game.n_users, game.n_channels
     if len(profiles) == 0:
         return np.zeros(0)
-    prof = np.array(profiles, dtype=np.int64) - 1
+    prof = np.array(profiles, dtype=np.int64)
+    prof -= 1
     if prof.ndim != 2 or prof.shape[1] != N:
         raise ValueError(f"each profile must list {N} channel ids")
     if prof.min() < 0 or prof.max() >= M:
         raise ValueError(f"profile entries must be channel ids in 1..{M}")
     tables = np.stack(_count_utility_tables(game, "capacity"))
-    counts = np.stack([(prof == m).sum(axis=1) for m in range(M)], axis=1)
+    # occupancy counts in the smallest integer type that holds N: they set
+    # the peak memory of analyze on the largest presets
+    dtype = np.min_scalar_type(N)
+    counts = np.stack([(prof == m).sum(axis=1, dtype=dtype) for m in range(M)], axis=1)
     own = np.take_along_axis(counts, prof, axis=1)
     return _sum_columns(tables[np.arange(N), prof, own - 1])
 

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -67,25 +69,38 @@ def _coord(x: float) -> str:
     return f"{x:.2f}"
 
 
+# a polyline point: both coordinates as _coord writes them
+_POINT = "%.2f,%.2f"
+
+
 def line_chart(
     series: Sequence[Series],
     title: str,
     x_label: str,
     y_label: str,
 ) -> str:
-    """A fixed-size line chart; returns the SVG document as a string."""
-    pts = [
-        (float(x), float(y))
-        for s in series
-        for x, y in zip(s.xs, s.ys)
-        if math.isfinite(x) and math.isfinite(y)
-    ]
-    if not pts:
+    """A fixed-size line chart; returns the SVG document as a string.
+
+    Points where x or y is not finite are left out. Each series is filtered,
+    bounded and scaled as numpy arrays, by the same IEEE operations in the
+    same order as a single point, so a coordinate's bits do not depend on
+    which path computed it.
+    """
+    finite = []
+    for s in series:
+        n = min(len(s.xs), len(s.ys))
+        xs = np.asarray(s.xs, dtype=float)[:n]
+        ys = np.asarray(s.ys, dtype=float)[:n]
+        keep = np.isfinite(xs) & np.isfinite(ys)
+        finite.append((xs[keep], ys[keep]))
+    if not any(xs.size for xs, _ in finite):
         raise ValueError("nothing to plot: every point is missing or non-finite")
-    x_lo = min(p[0] for p in pts)
-    x_hi = max(p[0] for p in pts)
-    y_lo = min(p[1] for p in pts)
-    y_hi = max(p[1] for p in pts)
+    all_x = np.concatenate([xs for xs, _ in finite])
+    all_y = np.concatenate([ys for _, ys in finite])
+    # on a tie of 0.0 and -0.0 a bound may take either sign, unlike min() and
+    # max(), which keep the first; no coordinate or tick depends on that sign
+    x_lo, x_hi = float(all_x.min()), float(all_x.max())
+    y_lo, y_hi = float(all_y.min()), float(all_y.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -96,10 +111,11 @@ def line_chart(
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def sx(x: float) -> float:
+    # a float or an array of them
+    def sx(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def sy(y: float) -> float:
+    def sy(y):
         return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -134,14 +150,11 @@ def line_chart(
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" '
         f'height="{plot_h}" fill="none" stroke="#333333" stroke-width="1"/>'
     )
-    for i, s in enumerate(series):
+    for i, (s, (xs, ys)) in enumerate(zip(series, finite)):
         color = PALETTE[i % len(PALETTE)]
-        coords = " ".join(
-            f"{_coord(sx(float(x)))},{_coord(sy(float(y)))}"
-            for x, y in zip(s.xs, s.ys)
-            if math.isfinite(float(x)) and math.isfinite(float(y))
-        )
-        if coords:
+        if xs.size:
+            points = zip(sx(xs).tolist(), sy(ys).tolist())
+            coords = " ".join(map(_POINT.__mod__, points))
             parts.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>'
@@ -186,9 +199,9 @@ def estimate_chart(q, user: int) -> str:
 
 
 def _per_channel_chart(values, user, title, y_label) -> str:
-    slots = range(1, len(values) + 1)
+    slots = np.arange(1, len(values) + 1)
     series = [
-        Series(label=f"channel {m + 1}", xs=slots, ys=values[:, user, m].tolist())
+        Series(label=f"channel {m + 1}", xs=slots, ys=values[:, user, m])
         for m in range(values.shape[2])
     ]
     return line_chart(series, title, "slot", y_label)
@@ -197,7 +210,7 @@ def _per_channel_chart(values, user, title, y_label) -> str:
 def aggregate_chart(slots, aggregates) -> str:
     """Running aggregate capacity estimate over slots."""
     return line_chart(
-        [Series(label="aggregate", xs=list(slots), ys=list(aggregates))],
+        [Series(label="aggregate", xs=slots, ys=aggregates)],
         "Aggregate effective capacity",
         "slot",
         "packets per slot",

@@ -11,6 +11,7 @@ from specgame.cli import (
     CSV_ROWS,
     FAIR_SHARE_NOTE,
     JSON_ITEMS,
+    _reprs,
     _write_csv,
     _write_json,
     _write_trace,
@@ -268,6 +269,73 @@ class TestCsvWriter:
             _write_csv(tmp_path / "x.csv", ("a", "b"), (np.arange(2), ["ok", cell]))
 
 
+# NaNs of three payloads, both zeros, and values of short and long reprs
+NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF0000000000123], np.uint64)
+REPEAT_POOL = np.concatenate(
+    [NAN_PAYLOADS.view(np.float64), [-0.0, 0.0, 1 / 3, 1e16, 5e-324, -2.0, math.inf]]
+)
+
+
+def runs(rng, shape, repeat):
+    """Pool values in `shape`, each entry equal to the one above it along axis
+    0 with probability `repeat`, so repeats come in runs of any length."""
+    values = rng.choice(REPEAT_POOL, size=shape)
+    keep = rng.random(shape) < repeat
+    for i in range(1, shape[0]):
+        values[i] = np.where(keep[i], values[i - 1], values[i])
+    return values
+
+
+def expected_cells(values):
+    return ["" if math.isnan(v) else repr(v) for v in values.ravel().tolist()]
+
+
+class TestRepeatedFloats:
+    """Floats equal bit for bit to the entry one row up reuse its string."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.sampled_from([(1,), (2,), (9,), (7, 1), (6, 3), (5, 2, 4)]),
+        repeat=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    )
+    def test_reprs_match_repr_per_entry(self, seed, shape, repeat):
+        values = runs(np.random.default_rng(seed), shape, repeat)
+        assert _reprs(values) == expected_cells(values)
+
+    def test_signed_zeros_and_nan_payloads_are_told_apart(self):
+        values = np.concatenate([[0.0, -0.0, -0.0, 0.0], NAN_PAYLOADS.view(np.float64), [0.0]])
+        assert _reprs(values) == ["0.0", "-0.0", "-0.0", "0.0", "", "", "", "0.0"]
+        assert _reprs(values[:, None]) == _reprs(values)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.sampled_from([(), (3,), (2, 4)]),
+        rows=st.sampled_from([-1, 0, 1, 2, CSV_ROWS + 5]),
+        repeat=st.sampled_from([0.5, 0.95, 1.0]),
+    )
+    def test_csv_bytes_match_the_csv_writer(self, tmp_path_factory, seed, width, rows, repeat):
+        # `rows` counts from one chunk's worth of leading entries, so runs
+        # cross the chunk boundary; `fresh` is a column with no repeats
+        per_row = math.prod(width)
+        n = max(1, CSV_ROWS // per_row + rows)
+        rng = np.random.default_rng(seed)
+        shape = (n, *width)
+        repeated = runs(rng, shape, repeat)
+        fresh = rng.random(shape)
+        index = np.broadcast_to(np.arange(n).reshape((n,) + (1,) * len(width)), shape)
+        rows_out = (
+            (i, None if math.isnan(r) else r, f)
+            for i, r, f in zip(
+                index.ravel().tolist(), repeated.ravel().tolist(), fresh.ravel().tolist()
+            )
+        )
+        tmp = tmp_path_factory.mktemp("csv")
+        header = ("row", "repeated", "fresh")
+        assert TestCsvWriter.same_bytes(tmp, header, (index, repeated, fresh), rows_out)
+
+
 _NUMBERS = (
     st.integers(min_value=-(2**80), max_value=2**80)
     | st.floats(allow_nan=True, allow_infinity=True)
@@ -337,6 +405,28 @@ class TestJsonWriter:
         profiles[JSON_ITEMS] = "1, 2, 3"
         profiles[-1] = ()
         fast, reference = json_bytes(tmp_path, {"nash_profiles": profiles})
+        assert fast == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        floats=st.lists(
+            st.sampled_from([0.0, -0.0, 1 / 3, 1e16, 5e-324, 2.5])
+            | st.floats(allow_nan=False, allow_infinity=False),
+            max_size=12,
+        ).map(lambda xs: [x for x in xs for _ in range(1 + int(abs(x)) % 3)]),
+        other=st.sampled_from([[], [math.nan], [math.inf], [1], [True], ["1.0"]]),
+    )
+    def test_float_lists_with_runs(self, tmp_path_factory, floats, other):
+        doc = {"floats": floats, "mixed": floats + other}
+        fast, reference = json_bytes(tmp_path_factory.getbasetemp(), doc)
+        assert fast == reference
+
+    @pytest.mark.parametrize("rows", [JSON_ITEMS, JSON_ITEMS + 1, 2 * JSON_ITEMS + 3])
+    def test_float_runs_across_the_chunk(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        floats = np.repeat(rng.random(rows // 7 + 1), 7)[:rows].tolist()
+        floats[JSON_ITEMS - 1] = -0.0
+        fast, reference = json_bytes(tmp_path, {"nash_aggregate_ec": floats})
         assert fast == reference
 
     def test_empty_document_and_values(self, tmp_path):
