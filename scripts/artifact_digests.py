@@ -2,10 +2,11 @@
 
 Runs `analyze`, `ode`, `learn`, `experiment --trace` and `sweep` (on the
 presets with a sweep section), all with `--plot`, on every preset at small
-sizes, with the package taken from TREE/src. Prints `sha256  path` for each
-file the commands write and for each command's standard output, saved as
-PRESET/COMMAND.stdout; paths are relative to --out. Two trees give the same
-listing when every artifact is byte-identical:
+sizes, and one long `ode` run on fig2 (2,000 steps, where rows approach the
+vertices), with the package taken from TREE/src. Prints `sha256  path` for
+each file the commands write and for each command's standard output, saved
+as PRESET/LABEL.stdout; paths are relative to --out. Two trees give the
+same listing when every artifact is byte-identical:
 
     python3 scripts/artifact_digests.py --root OLD_TREE --out /tmp/digests > old.txt
     python3 scripts/artifact_digests.py --root NEW_TREE --out /tmp/digests > new.txt
@@ -31,6 +32,9 @@ COMMANDS = {
     "sweep": ["--trials", "2", "--iterations", "100", "--plot"],
 }
 
+# (preset, label, command and flags) run once, after the set above
+LONG_RUNS = [("fig2", "ode-2000", ["ode", "--iterations", "2000", "--plot"])]
+
 # prints each preset name, and whether it has a sweep section
 LIST_PRESETS = (
     "from specgame.config import PRESETS, preset_config\n"
@@ -54,6 +58,18 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def record(root: Path, out: Path, preset: str, label: str, argv: list[str]) -> None:
+    """Run one command into OUT/PRESET/LABEL and print the digests it leaves."""
+    target = out / preset / label
+    shutil.rmtree(target, ignore_errors=True)
+    args = ["-m", "specgame.cli", *argv[:1], "--preset", preset, *argv[1:]]
+    stdout = run(root, [*args, "--out", str(target)], out)
+    log = out / preset / f"{label}.stdout"
+    log.write_text(stdout, encoding="utf-8")
+    for path in [log, *sorted(p for p in target.rglob("*") if p.is_file())]:
+        print(f"{sha256(path)}  {path.relative_to(out)}", flush=True)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, required=True, help="tree whose src/ to run")
@@ -66,14 +82,9 @@ def main() -> None:
         for command, flags in COMMANDS.items():
             if command == "sweep" and has_sweep != "True":
                 continue
-            target = out / preset / command
-            shutil.rmtree(target, ignore_errors=True)
-            argv = ["-m", "specgame.cli", command, "--preset", preset, *flags]
-            stdout = run(root, [*argv, "--out", str(target)], out)
-            log = out / preset / f"{command}.stdout"
-            log.write_text(stdout, encoding="utf-8")
-            for path in [log, *sorted(p for p in target.rglob("*") if p.is_file())]:
-                print(f"{sha256(path)}  {path.relative_to(out)}", flush=True)
+            record(root, out, preset, command, [command, *flags])
+    for preset, label, argv in LONG_RUNS:
+        record(root, out, preset, label, argv)
 
 
 if __name__ == "__main__":

@@ -57,17 +57,19 @@ def main() -> None:
     unresolved = 0
     curves = []
     stride = max(1, args.steps // 400)
-    for s in range(args.starts):
-        start = rng.dirichlet(np.ones(args.channels), size=args.users)
-        traj = integrate(game, start, dt=0.02, steps=args.steps)
-        nearest = min(equilibria, key=lambda prof: tv_to_vertex(traj.final, prof))
-        if tv_to_vertex(traj.final, nearest) <= 0.05:
+    starts = np.stack(
+        [rng.dirichlet(np.ones(args.channels), size=args.users) for _ in range(args.starts)]
+    )
+    traj = integrate(game, starts, dt=0.02, steps=args.steps)  # every start at once
+    for s, final in enumerate(traj.final):
+        nearest = min(equilibria, key=lambda prof: tv_to_vertex(final, prof))
+        if tv_to_vertex(final, nearest) <= 0.05:
             basins[nearest] = basins.get(nearest, 0) + 1
         else:
             unresolved += 1
         xs = range(0, args.steps + 1, stride)
         curves.append(
-            Series(label=f"start {s}", xs=list(xs), ys=traj.potentials[::stride])
+            Series(label=f"start {s}", xs=list(xs), ys=traj.potentials[::stride, s])
         )
 
     for prof in equilibria:

@@ -43,11 +43,21 @@ class Series:
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi] at a 1/2/5 step."""
+    """Round tick positions covering [lo, hi] at a 1/2/5 step.
+
+    No ticks when no such step is a positive finite float: when the span
+    overflows, or is so small that its step underflows to zero. The ticks
+    stop early where the step is lost in rounding, below half an ulp of
+    the tick it is added to.
+    """
     if hi <= lo:
         hi = lo + 1.0
     raw = (hi - lo) / target
+    if not 0.0 < raw < math.inf:
+        return []
     mag = 10.0 ** math.floor(math.log10(raw))
+    if mag == 0.0:
+        return []
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
         if raw <= step:
@@ -57,6 +67,8 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     t = first
     while t <= hi + step * 1e-9:
         out.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:
+            break
         t += step
     return out
 
@@ -105,6 +117,11 @@ def line_chart(
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    # at |v| >= 2**53 those widenings are lost in rounding; an ulp is not
+    if x_hi == x_lo:
+        x_hi = math.nextafter(x_lo, math.inf)
+    if y_hi == y_lo:
+        y_lo, y_hi = math.nextafter(y_lo, -math.inf), math.nextafter(y_hi, math.inf)
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad

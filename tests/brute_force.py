@@ -4,6 +4,11 @@ These are the profile-scan designs that `specgame.game` and
 `specgame.dynamics` replaced with occupancy-count and Poisson-binomial
 algorithms. They are exponential in N and serve only to check the fast
 paths on small games.
+
+The end of the file keeps the mean-field flow as it was written before
+its count law moved to a count-major layout in reused buffers:
+`others_count_law`, `ReferenceField` and `integrate`. They are the
+references the flow must match bit for bit.
 """
 
 import itertools
@@ -11,6 +16,7 @@ import math
 
 import numpy as np
 
+from specgame.dynamics import IntegrationDivergedError, Trajectory, check_mixed_profile
 from specgame.game import (
     TIE_TOL,
     PotentialReport,
@@ -149,3 +155,69 @@ class FieldEvaluator:
     def mean_potential(self, p):
         w = p[self.user_idx, self.profiles]
         return float(w.prod(axis=1) @ self.phi)
+
+
+def others_count_law(p: np.ndarray) -> np.ndarray:
+    """[N, M, N]: P(c of the users other than n are on channel m), c = 0..N-1.
+
+    N convolution passes, one per user k, each over every row but k's.
+    """
+    n = p.shape[0]
+    dist = np.zeros((n, p.shape[1], n))
+    dist[:, :, 0] = 1.0
+    for k in range(n):
+        q = p[k][None, :, None]
+        nxt = dist * (1.0 - q)
+        nxt[:, :, 1:] += dist[:, :, :-1] * q
+        nxt[k] = dist[k]  # user k is not among its own others
+        dist = nxt
+    return dist
+
+
+class ReferenceField:
+    """The [N, M, N] field: omega [N, M] and the expected surrogate potential."""
+
+    def __init__(self, game):
+        self.tables = np.stack(_count_utility_tables(game, "surrogate"))  # [N, M, N]
+        self.theta = game.homogeneous_theta()
+        if self.theta is not None:
+            self.exp_terms = _exp_term_table(game, self.theta, game.n_users)
+
+    def evaluate(self, p: np.ndarray) -> tuple[np.ndarray, float]:
+        """omega [N, M] and the expected surrogate potential (nan without one)."""
+        others = others_count_law(p)
+        omega = (others * self.tables).sum(axis=2)
+        if self.theta is None:
+            return omega, math.nan
+        # add user 0 back to its others: the count law of all N users
+        everyone = np.zeros((p.shape[1], p.shape[0] + 1))
+        everyone[:, :-1] = others[0] * (1.0 - p[0])[:, None]
+        everyone[:, 1:] += others[0] * p[0][:, None]
+        phi = float((everyone * self.exp_terms).sum())
+        return omega, (1.0 - phi) / self.theta
+
+
+def _rhs(p: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    return p * (omega - (p * omega).sum(axis=1, keepdims=True))
+
+
+def integrate(game, start, dt: float, steps: int) -> Trajectory:
+    """The forward-Euler flow from one [N, M] start, one step at a time."""
+    p = check_mixed_profile(game, start).copy()
+    field = ReferenceField(game)
+    path = np.empty((steps + 1, *p.shape))
+    pots = np.empty(steps + 1)
+    maxr = np.empty(steps + 1)
+    for t in range(steps + 1):
+        omega, pots[t] = field.evaluate(p)
+        rhs = _rhs(p, omega)
+        path[t] = p
+        maxr[t] = float(np.abs(rhs).max())
+        if t == steps:
+            break
+        p = p + dt * rhs
+        if not np.all(np.isfinite(p)):
+            raise IntegrationDivergedError(t + 1)
+        np.clip(p, 0.0, None, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+    return Trajectory(strategies=path, potentials=pots, max_rhs=maxr)

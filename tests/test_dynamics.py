@@ -7,7 +7,9 @@ from conftest import random_game
 from specgame.channels import ChannelSpec
 from specgame.capacity import approx_utility
 from specgame.dynamics import (
+    IntegrationDivergedError,
     Trajectory,
+    _Field,
     action_value,
     integrate,
     is_stationary,
@@ -265,6 +267,85 @@ class TestIntegrate:
         g = random_game(rng, n_users=3, n_channels=2, theta_choices=(0.1,))
         traj = integrate(g, interior_start(rng, 3, 2), dt=0.02, steps=200)
         assert np.all(np.diff(traj.potentials) >= -1e-9)
+
+
+class TestBatchedIntegrate:
+    def test_shapes(self):
+        g = twin_channel_game()
+        starts = np.array([[[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5], [0.5, 0.5]], [[1.0, 0.0], [0.4, 0.6]]])
+        traj = integrate(g, starts, dt=0.1, steps=30)
+        assert traj.strategies.shape == (31, 3, 2, 2)
+        assert traj.potentials.shape == traj.max_rhs.shape == (31, 3)
+        assert traj.final.shape == (3, 2, 2)
+        assert np.array_equal(traj.strategies[0], starts)
+
+    def test_zero_steps(self):
+        g = twin_channel_game()
+        starts = np.full((4, 2, 2), 0.5)
+        traj = integrate(g, starts, dt=0.1, steps=0)
+        assert traj.strategies.shape == (1, 4, 2, 2)
+        assert np.array_equal(traj.final, starts)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 2, 2, 2), (3, 2, 3), (1, 3, 2)])
+    def test_rejects_bad_shapes(self, shape):
+        g = twin_channel_game()
+        with pytest.raises(ValueError, match="strategy array"):
+            integrate(g, np.full(shape, 0.5), dt=0.1, steps=1)
+
+    def test_rejects_a_start_off_the_simplex(self):
+        g = twin_channel_game()
+        starts = np.full((2, 2, 2), 0.5)
+        starts[1, 0] = [0.9, 0.3]
+        with pytest.raises(ValueError, match="off the simplex"):
+            integrate(g, starts, dt=0.1, steps=1)
+
+    def test_other_entry_points_take_one_profile(self):
+        g = twin_channel_game()
+        with pytest.raises(ValueError, match="2 x 2 strategy array"):
+            replicator_rhs(g, np.full((3, 2, 2), 0.5))
+
+    def test_field_evaluates_a_batch(self):
+        g = twin_channel_game()
+        starts = np.array([[[0.7, 0.3], [0.2, 0.8]], [[0.5, 0.5], [0.5, 0.5]]])
+        omega, potentials = _Field(g).evaluate(starts)
+        assert omega.shape == (2, 2, 2) and potentials.shape == (2,)
+        for b in range(2):
+            want_omega, want_potential = _Field(g).evaluate(starts[b])
+            assert np.array_equal(omega[b], want_omega)
+            assert potentials[b] == want_potential
+
+
+class TestDivergence:
+    """A field that turns non-finite at the third call."""
+
+    @pytest.fixture
+    def poisoned(self, monkeypatch):
+        fill = _Field._fill
+        calls = []
+
+        def fill_then_poison(self, p, phi):
+            omega = fill(self, p, phi)
+            calls.append(None)
+            if len(calls) == 3:
+                omega[-1, 0, 0] = np.nan
+            return omega
+
+        monkeypatch.setattr(_Field, "_fill", fill_then_poison)
+
+    def test_names_the_step(self, poisoned):
+        g = twin_channel_game()
+        with pytest.raises(IntegrationDivergedError, match=r"at step 3$") as err:
+            integrate(g, np.array([[0.7, 0.3], [0.2, 0.8]]), dt=0.1, steps=10)
+        assert err.value.step == 3
+        assert err.value.trajectory is None
+
+    def test_names_the_first_trajectory_that_diverged(self, poisoned):
+        g = twin_channel_game()
+        starts = np.full((3, 2, 2), 0.5)
+        starts[:, 0] = [0.7, 0.3]
+        with pytest.raises(IntegrationDivergedError, match="at step 3 in trajectory 2") as err:
+            integrate(g, starts, dt=0.1, steps=10)
+        assert (err.value.step, err.value.trajectory) == (3, 2)
 
 
 def test_trajectory_final_property():

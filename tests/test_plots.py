@@ -10,7 +10,10 @@ from specgame.plots import Series, line_chart
 
 
 def reference_line_chart(series, title, x_label, y_label) -> str:
-    """line_chart as it was written point by point: the reference."""
+    """line_chart as it was written point by point: the reference.
+
+    It widens a span that rounding collapses by an ulp, as line_chart does.
+    """
     W, H = plots.WIDTH, plots.HEIGHT
     L, R, T, B = plots.MARGIN_L, plots.MARGIN_R, plots.MARGIN_T, plots.MARGIN_B
     coord = plots._coord
@@ -30,6 +33,11 @@ def reference_line_chart(series, title, x_label, y_label) -> str:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    # at |v| >= 2**53 those widenings are lost in rounding; an ulp is not
+    if x_hi == x_lo:
+        x_hi = math.nextafter(x_lo, math.inf)
+    if y_hi == y_lo:
+        y_lo, y_hi = math.nextafter(y_lo, -math.inf), math.nextafter(y_hi, math.inf)
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
@@ -199,3 +207,93 @@ class TestLineChartMatchesReference:
                 for i, pts in enumerate(points)
             )
         )
+
+
+class Stalled(Exception):
+    """The old loop would never end: its step no longer moves the tick."""
+
+
+def reference_ticks(lo, hi, target=5):
+    """_ticks as it was before it guarded spans without a finite step.
+
+    Where that loop hung, this copy raises Stalled with the ticks so far.
+    """
+    if hi <= lo:
+        hi = lo + 1.0
+    raw = (hi - lo) / target
+    mag = 10.0 ** math.floor(math.log10(raw))
+    for mult in (1.0, 2.0, 5.0, 10.0):
+        step = mult * mag
+        if raw <= step:
+            break
+    first = math.ceil(lo / step) * step
+    out = []
+    t = first
+    while t <= hi + step * 1e-9:
+        out.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:
+            raise Stalled(out)
+        t += step
+    return out
+
+
+class TestTicks:
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(0.0, 5e-324), (-5e-324, 5e-324), (0.0, 2.5e-323), (1e308, 1e308)],
+    )
+    def test_a_span_whose_step_underflows_has_no_ticks(self, lo, hi):
+        assert plots._ticks(lo, hi) == []
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(-1e308, 1e308), (-math.inf, math.inf), (math.inf, math.inf)]
+    )
+    def test_an_overflowing_span_has_no_ticks(self, lo, hi):
+        assert plots._ticks(lo, hi) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_every_other_span_keeps_the_old_ticks(self, lo, hi):
+        try:
+            want = reference_ticks(lo, hi)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            want = []
+        except Stalled as stall:
+            (want,) = stall.args
+        assert plots._ticks(lo, hi) == want
+
+    @pytest.mark.parametrize(
+        "lo,hi", [(1.0, 1.0000000000000002), (1e16, 1e16 + 2.0), (-1.0, -0.9999999999999999)]
+    )
+    def test_a_step_lost_in_rounding_ends_the_ticks(self, lo, hi):
+        with pytest.raises(Stalled) as stall:
+            reference_ticks(lo, hi)
+        (before,) = stall.value.args
+        assert before and plots._ticks(lo, hi) == before
+
+    def test_normal_spans_keep_their_ticks(self):
+        for lo, hi in [(0.0, 1.0), (-3.5, 2.0), (1e-300, 3e-300), (-1e307, 1e307), (5.0, 5.0)]:
+            got = plots._ticks(lo, hi)
+            assert got and got == reference_ticks(lo, hi)
+
+    @pytest.mark.parametrize(
+        "xs,ys", [([1.0, 2.0], [1.25e16, 1.25e16]), ([2.0**60, 2.0**60], [1.0, 3.0])]
+    )
+    def test_a_span_lost_in_rounding_is_widened_by_an_ulp(self, xs, ys):
+        series = Series("s", xs, ys)
+        same_chart(series)
+        svg = line_chart([series], "title", "x", "y")
+        assert "nan" not in svg and "inf" not in svg
+
+    # the overflowing span scales its points to nan; the chart is still written
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("ys", [[0.0, 5e-324], [-1e308, 1e308]])
+    def test_charts_of_spans_without_a_step_do_not_raise(self, ys):
+        series = Series("s", [1.0, 2.0], ys)
+        same_chart(series)
+        svg = line_chart([series], "title", "x", "y")
+        # the x axis keeps its ticks; the y axis has none
+        assert svg.count('stroke="#dddddd"') == len(plots._ticks(1.0, 2.0))
