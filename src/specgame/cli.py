@@ -12,6 +12,7 @@ Exit codes: 0 on success, 1 on runtime failure, 2 on bad usage or config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -444,7 +445,12 @@ def cmd_ode(cfg: ExperimentConfig, out: Path, args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Each subcommand's handler is bound when the parser is first built.
+    """
     parser = argparse.ArgumentParser(
         prog="specgame",
         description="Multi-user channel selection with statistical QoS targets:"

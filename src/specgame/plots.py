@@ -123,6 +123,11 @@ def line_chart(
     if y_hi == y_lo:
         y_lo, y_hi = math.nextafter(y_lo, -math.inf), math.nextafter(y_hi, math.inf)
     pad = 0.05 * (y_hi - y_lo)
+    # where the padded span passes the largest float, y is measured in
+    # quarters, which keeps the bounds and each point's offset finite
+    y_unit = 0.25 if math.isinf((y_hi + pad) - (y_lo - pad)) else 1.0
+    y_lo, y_hi = y_unit * y_lo, y_unit * y_hi
+    pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
     plot_w = WIDTH - MARGIN_L - MARGIN_R
@@ -133,7 +138,7 @@ def line_chart(
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y):
-        return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + (y_hi - y_unit * y) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -153,7 +158,9 @@ def line_chart(
             f'text-anchor="middle" font-family="sans-serif" font-size="11">'
             f"{_num(t)}</text>"
         )
-    for t in _ticks(y_lo, y_hi):
+    # ticks cover the bounds in units of y, where a span in quarters
+    # overflows and so gets no ticks
+    for t in _ticks(y_lo / y_unit, y_hi / y_unit):
         y = sy(t)
         parts.append(
             f'<line x1="{MARGIN_L}" y1="{_coord(y)}" x2="{WIDTH - MARGIN_R}" '

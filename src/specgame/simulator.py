@@ -4,7 +4,15 @@ Each trial runs the sense-transmit-update loop: users pick channels from
 their strategies, channel states are drawn, contention splits the realized
 rates, the algorithm updates on the payoffs, and the run is scored. One
 lockstep engine runs every algorithm. `learn`, `sla` and `random` are small
-policies, and a block of trials advances together as [T, N, M] arrays.
+policies, and a block of trials advances together. Its strategies,
+estimates and one-hot actions are channel-major, [M, T, N], so each
+per-slot operation over channels works on whole contiguous [T, N] slabs: a
+running sum is an accumulate over the leading axis, and a sum over
+channels adds the slabs in channel order, one after the other. That is the
+order numpy's row sum uses for up to seven values, so the results are the
+same bits as a row-major layout would give. From eight channels on numpy
+sums a row pairwise, and the two layouts may differ in the last bits of p
+and q; the traces keep the [slots, T, N, M] layout either way.
 
 Every trial draws from its own generator (`trial_rng`), and every slot
 consumes exactly N + 2M uniforms in a fixed layout: N for the actions in
@@ -18,7 +26,7 @@ states with them. A policy that learns steps through the chunk slot by
 slot, since each slot's actions depend on the last update. One that does
 not learn (`learns` false, the random baseline) never reads payoffs, so it
 acts, contends and logs the whole chunk as [k, T, N] arrays; its `act` then
-receives [k, T, N] uniforms.
+receives [k, T, N] uniforms and returns the one-hot [M, k, T, N].
 """
 
 from __future__ import annotations
@@ -196,62 +204,78 @@ def resolve_contention(
     return payoffs
 
 
-def _contend(model: Contention, actions, chosen, rates, tiebreak) -> np.ndarray:
+def _contend(model: Contention, chosen, rates, tiebreak) -> np.ndarray:
     """resolve_contention for a block of trials, over any leading shape.
 
-    actions are the [..., N] 0-based channels and chosen their [..., N, M]
-    one-hot; rates and tiebreak are [..., M]. Returns the [..., N] payoffs.
-    Per-channel values are gathered by flat index: with the leading axes
-    flattened to rows i, user n's channel sits at actions[i, n] + M * i of
-    the flattened [..., M] array.
+    chosen is the channel-major one-hot [M, ..., N] of the users' actions,
+    and rates and tiebreak are channel-major too, [M, ...]. Returns the
+    [..., N] payoffs: per user, the sum over channels of what it gets on
+    each. It gets something on one channel at most, so the sum adds exact
+    zeros to one value, which is exact in any order.
     """
-    n, m = actions.shape[-1], rates.shape[-1]
-    rows = np.arange(actions.size // n).reshape(actions.shape[:-1] + (1,))
-    flat = actions + m * rows
-    # [..., N, M]: takers so far in user order, in the smallest integer type
+    # [M, ..., N]: takers so far in user order, in the smallest integer type
     # that holds N, which keeps chunk-sized temporaries small
-    taken = chosen.cumsum(axis=-2, dtype=np.min_scalar_type(n))
-    counts = taken[..., -1, :]  # [..., M]
-    got = rates.take(flat)
+    dtype = np.min_scalar_type(chosen.shape[-1])
+    taken = np.add.accumulate(chosen.view(np.uint8), axis=-1, dtype=dtype)
+    counts = taken[..., -1]  # [M, ...]
     if model is Contention.FAIR_SHARE:
-        return got / counts.take(flat)
-    # a taker wins when its rank among the channel's takers is floor(u * c)
-    rank = taken[chosen].reshape(actions.shape) - 1
-    winner = np.floor(tiebreak * counts).take(flat)
-    return np.where(rank == winner, got, 0.0)
+        # an empty channel divides by 1 instead of 0; no user reads it
+        paid, value = chosen, rates / np.maximum(counts, 1)
+    else:
+        # a taker wins when its rank among the channel's takers is floor(u * c)
+        winner = np.floor(tiebreak * counts)
+        winner += 1  # as a 1-based rank
+        paid = taken == winner[..., None]
+        paid &= chosen
+        value = rates
+    return np.einsum("m...n,m...->...n", paid, value)
 
 
 def _sample(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """0-based inverse-CDF draws from the rows of p [..., M] at uniforms u.
+    """Inverse-CDF draws from the channel-major strategies p [M, ...] at
+    uniforms u [...], as their channel-major one-hot [M, ...].
 
-    The arithmetic of learning.sample_profile: running sums with the last
-    one forced to 1, and the first sum above u (bisect_right).
+    The arithmetic of learning.sample_profile: running sums in channel
+    order, the last one taken as 1, and the first sum above u
+    (bisect_right). Running sums never fall, so a channel is drawn where
+    its sum is above u and the sum before it is not.
     """
-    cum = p.cumsum(axis=-1)
-    cum[..., -1] = 1.0
-    return (cum > u[..., None]).argmax(axis=-1)
+    above = np.zeros((len(p) + 1,) + u.shape, dtype=bool)  # row 0: the empty sum
+    above[-1] = True
+    np.greater(np.add.accumulate(p[:-1], axis=0), u, out=above[1:-1])
+    return above[1:] > above[:-1]
 
 
 @dataclass
 class BlockState:
-    """The strategies and estimates of a block of trials, updated in place."""
+    """The strategies and estimates of a block of trials, updated in place.
 
-    p: np.ndarray  # [T, N, M]
-    q: np.ndarray  # [T, N, M], zero for policies without estimates
+    Both are channel-major, [M, T, N]: channel m's values for every trial
+    and user are one contiguous [T, N] slab, and a reduction over channels
+    works through the slabs in channel order. Up to seven channels that
+    gives the bits of a row-major [T, N, M] layout; from eight on p and q
+    may differ from it in the last bits (see the module docstring).
+    """
+
+    p: np.ndarray  # [M, T, N]
+    q: np.ndarray  # [M, T, N], zero for policies without estimates
     slot: int = 0  # slots a learner has completed; its step size reads it
 
 
 class Policy:
     """How one algorithm acts on and learns from a block of trials.
 
-    `act(p, u)` maps the strategies and the N action uniforms of each trial
-    to 0-based channel indices [T, N]. `update(state, chosen, payoffs)`
-    takes the one-hot [T, N, M] of those actions and the [T, N] payoffs.
-    One instance serves one block.
+    `act(p, u)` maps the channel-major strategies [M, T, N] and the N action
+    uniforms of each trial, [T, N], to the channel-major one-hot [M, T, N]
+    of the chosen channels. `update(state, chosen, payoffs)` takes that
+    one-hot and the [T, N] payoffs, and works on whole [T, N] slabs:
+    per-user values broadcast over the leading channel axis, and sums over
+    channels add the slabs in channel order, the order of numpy's row sum
+    up to seven channels. One instance serves one block.
 
     A policy that does not learn never reads payoffs, so the engine runs it
     a chunk at a time: `act` then receives [k, T, N] uniforms for k slots
-    and returns [k, T, N] channels, and `update` is never called.
+    and returns the one-hot [M, k, T, N], and `update` is never called.
     """
 
     learns = True  # whether it updates on payoffs; the convergence slot is read off p
@@ -263,12 +287,12 @@ class Policy:
         pass
 
     def check(self, state: BlockState) -> None:
-        check_simplex_rows(state.p)
+        check_simplex_rows(np.moveaxis(state.p, 0, -1))
 
-    def final_profile(self, state: BlockState, actions: np.ndarray) -> np.ndarray:
+    def final_profile(self, state: BlockState, chosen: np.ndarray) -> np.ndarray:
         """The 0-based profile a trial ends on, [T, N], given what the last
         call to `act` returned."""
-        return state.p.argmax(axis=-1)
+        return state.p.argmax(axis=0)
 
 
 class LearnPolicy(Policy):
@@ -284,16 +308,21 @@ class LearnPolicy(Policy):
     def update(self, state, chosen, payoffs):
         lam = self.schedule.lambda_at(state.slot)
         # payoff_transform, less its per-call check of the exponents
-        target = (-np.expm1(self.neg_thetas * payoffs) / self.thetas)[..., None]
-        q = np.where(chosen, state.q + lam * (target - state.q), state.q)
-        log_gain = q * self.log_gain
-        w = state.p * np.exp(log_gain - log_gain.max(axis=-1, keepdims=True))
-        state.p = w / w.sum(axis=-1, keepdims=True)
-        state.q = q
+        target = np.expm1(self.neg_thetas * payoffs) / self.neg_thetas
+        q = state.q
+        moved = target - q
+        moved *= lam
+        moved += q
+        np.copyto(q, moved, where=chosen)
+        w = q * self.log_gain
+        w -= w.max(axis=0)
+        np.exp(w, out=w)
+        w *= state.p
+        np.divide(w, w.sum(axis=0), out=state.p)
 
     def check(self, state):
-        check_simplex_rows(state.p)
-        check_estimates(state.q, self.thetas)
+        super().check(state)
+        check_estimates(np.moveaxis(state.q, 0, -1), self.thetas)
 
 
 class SLAPolicy(Policy):
@@ -304,9 +333,12 @@ class SLAPolicy(Policy):
         self.r_max = config.rate_cap()
 
     def update(self, state, chosen, payoffs):
-        rhat = np.clip(payoffs / self.r_max, 0.0, 1.0)
-        p = state.p + self.b * rhat[..., None] * (chosen - state.p)
-        state.p = p / p.sum(axis=-1, keepdims=True)
+        # payoffs are >= 0, so only the upper clip of sla_update can act
+        rhat = np.minimum(payoffs / self.r_max, 1.0)
+        p = chosen - state.p
+        p *= self.b * rhat
+        p += state.p
+        np.divide(p, p.sum(axis=0), out=state.p)
 
 
 class RandomPolicy(Policy):
@@ -322,13 +354,13 @@ class RandomPolicy(Policy):
     def act(self, p, u):
         # u is [k, T, N]: k slots of action uniforms
         if self.per_slot:
-            return _sample(p, u)
+            return _sample(p[:, None], u)
         if self.held is None:
-            self.held = _sample(p, u[0])
-        return np.broadcast_to(self.held, u.shape)
+            self.held = _sample(p, u[0])[:, None]
+        return np.broadcast_to(self.held, (len(p),) + u.shape)
 
-    def final_profile(self, state, actions):
-        return actions[-1]  # the last chunk's last slot
+    def final_profile(self, state, chosen):
+        return chosen[:, -1].argmax(axis=0)  # the last chunk's last slot
 
 
 POLICIES = {"learn": LearnPolicy, "sla": SLAPolicy, "random": RandomPolicy}
@@ -383,9 +415,8 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
     size = len(trials)
     rngs = [trial_rng(config.base_seed, i) for i in trials]
     policy = POLICIES[config.algorithm](config)
-    state = BlockState(p=np.full((size, n, m), 1.0 / m), q=np.zeros((size, n, m)))
+    state = BlockState(p=np.full((m, size, n), 1.0 / m), q=np.zeros((m, size, n)))
     sample_rates = RateSampler(game.channels)
-    channel_ids = np.arange(m)
     # per-slot logs, slot-major, so one slot or one chunk writes as one row
     payoff_log = np.empty((slots, size, n))
     if config.collect_traces:
@@ -398,8 +429,10 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
     for start in range(0, slots, CHUNK_SLOTS):
         k = min(CHUNK_SLOTS, slots - start)
         uniforms = np.stack([rng.random((k, n + 2 * m)) for rng in rngs], axis=1)
-        act_u, tiebreak = uniforms[..., :n], uniforms[..., n + m :]
-        rates = sample_rates(uniforms[..., n : n + m])  # [k, T, M]
+        act_u = uniforms[..., :n]
+        # channel-major views, [M, k, T]
+        tiebreak = uniforms[..., n + m :].transpose(2, 0, 1)
+        rates = sample_rates(uniforms[..., n : n + m]).transpose(2, 0, 1)
         window = slice(start, start + k)
         payoffs_at = payoff_log[window]
         if config.collect_traces:
@@ -407,16 +440,19 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
         # a learner steps slot by slot, since each slot's actions depend on
         # the last update; a policy that does not learn takes the whole chunk
         for s in range(k) if policy.learns else (slice(0, k),):
-            actions = policy.act(state.p, act_u[s])
-            chosen = actions[..., None] == channel_ids
-            payoffs = _contend(game.contention, actions, chosen, rates[s], tiebreak[s])
+            chosen = policy.act(state.p, act_u[s])
+            payoffs = _contend(game.contention, chosen, rates[:, s], tiebreak[:, s])
             if policy.learns:
                 policy.update(state, chosen, payoffs)
                 state.slot += 1
-                state.p.max(axis=-1, out=top[s])
+                state.p.max(axis=0, out=top[s])
             payoffs_at[s] = payoffs
             if config.collect_traces:
-                p_at[s], q_at[s], a_at[s] = state.p, state.q, actions + 1
+                p_at[s] = state.p.transpose(1, 2, 0)
+                q_at[s] = state.q.transpose(1, 2, 0)
+                chosen.argmax(axis=0, out=a_at[s])
+        if config.collect_traces:
+            a_at += 1  # 1-based channel ids
         try:
             policy.check(state)
         except ValueError as err:
@@ -430,7 +466,7 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
             fresh = (conv < 0) & hit.any(axis=0)
             conv[fresh] = start + hit.argmax(axis=0)[fresh] + 1
 
-    finals = policy.final_profile(state, actions) + 1
+    finals = policy.final_profile(state, chosen) + 1
     results = []
     for t, index in enumerate(trials):
         if policy.learns:

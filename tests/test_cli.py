@@ -15,6 +15,9 @@ from specgame.cli import (
     _write_csv,
     _write_json,
     _write_trace,
+    build_parser,
+    cmd_experiment,
+    cmd_learn,
     main,
 )
 from specgame.config import PRESETS, config_from_dict, config_to_dict, parse_config, preset_config
@@ -745,6 +748,18 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--preset", "fig9"])
         assert exc.value.code == 2
+
+
+def test_the_parser_is_built_once_and_parses_every_command_afresh(tmp_path):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit):
+        main(["experiment", "--preset", "fig9"])
+    cfg = write_config(tmp_path)
+    first = build_parser().parse_args(["experiment", "--config", str(cfg), "--trace"])
+    second = build_parser().parse_args(["learn", "--config", str(cfg)])
+    assert (first.command, first.trace, first.func) == ("experiment", True, cmd_experiment)
+    assert (second.command, second.func) == ("learn", cmd_learn)
+    assert not hasattr(second, "trace")
 
 
 class TestChartsMatchTheirCsvs:

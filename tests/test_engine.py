@@ -182,7 +182,8 @@ class TestChunkChecks:
         return SimConfig(game=game, algorithm=algorithm)
 
     def state(self):
-        return BlockState(p=np.full((3, 2, 2), 0.5), q=np.zeros((3, 2, 2)))
+        # channel-major [M, T, N]: 2 channels, 3 trials, 2 users
+        return BlockState(p=np.full((2, 3, 2), 0.5), q=np.zeros((2, 3, 2)))
 
     @pytest.mark.parametrize("policy", [LearnPolicy, SLAPolicy])
     def test_sound_state_passes(self, policy):
@@ -191,19 +192,19 @@ class TestChunkChecks:
     @pytest.mark.parametrize("policy", [LearnPolicy, SLAPolicy])
     def test_strategy_off_the_simplex_raises(self, policy):
         state = self.state()
-        state.p[1, 0, 0] = 0.7
+        state.p[0, 1, 0] = 0.7  # channel 1 of user 1 in the second trial
         with pytest.raises(ValueError, match="simplex"):
             policy(self.config("learn")).check(state)
 
     def test_estimate_above_inverse_theta_raises(self):
         state = self.state()
-        state.q[2, 1, 0] = 1.0 / 2.0 + 1e-6  # user 2 has theta 2
+        state.q[0, 2, 1] = 1.0 / 2.0 + 1e-6  # user 2 has theta 2
         with pytest.raises(ValueError, match="1/theta"):
             LearnPolicy(self.config("learn")).check(state)
 
     def test_nan_estimate_raises(self):
         state = self.state()
-        state.q[0, 0, 1] = np.nan
+        state.q[1, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             LearnPolicy(self.config("learn")).check(state)
 

@@ -39,6 +39,11 @@ def reference_line_chart(series, title, x_label, y_label) -> str:
     if y_hi == y_lo:
         y_lo, y_hi = math.nextafter(y_lo, -math.inf), math.nextafter(y_hi, math.inf)
     pad = 0.05 * (y_hi - y_lo)
+    # where the padded span passes the largest float, y is measured in
+    # quarters, which keeps the bounds and each point's offset finite
+    y_unit = 0.25 if math.isinf((y_hi + pad) - (y_lo - pad)) else 1.0
+    y_lo, y_hi = y_unit * y_lo, y_unit * y_hi
+    pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
     plot_w = W - L - R
@@ -48,7 +53,7 @@ def reference_line_chart(series, title, x_label, y_label) -> str:
         return L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y: float) -> float:
-        return T + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return T + (y_hi - y_unit * y) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" '
@@ -68,7 +73,7 @@ def reference_line_chart(series, title, x_label, y_label) -> str:
             f'text-anchor="middle" font-family="sans-serif" font-size="11">'
             f"{plots._num(t)}</text>"
         )
-    for t in plots._ticks(y_lo, y_hi):
+    for t in plots._ticks(y_lo / y_unit, y_hi / y_unit):
         y = sy(t)
         parts.append(
             f'<line x1="{L}" y1="{coord(y)}" x2="{W - R}" '
@@ -141,6 +146,7 @@ def same_chart(*series):
 
 
 NAN, INF = math.nan, math.inf
+MAX = 1.7976931348623157e308
 
 
 class TestLineChartMatchesReference:
@@ -288,12 +294,17 @@ class TestTicks:
         svg = line_chart([series], "title", "x", "y")
         assert "nan" not in svg and "inf" not in svg
 
-    # the overflowing span scales its points to nan; the chart is still written
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("ys", [[0.0, 5e-324], [-1e308, 1e308]])
+    @pytest.mark.parametrize(
+        "ys", [[0.0, 5e-324], [-0.85e308, 0.85e308], [-1e308, 1e308], [-MAX, MAX], [-MAX, 0.0]]
+    )
     def test_charts_of_spans_without_a_step_do_not_raise(self, ys):
         series = Series("s", [1.0, 2.0], ys)
         same_chart(series)
         svg = line_chart([series], "title", "x", "y")
         # the x axis keeps its ticks; the y axis has none
         assert svg.count('stroke="#dddddd"') == len(plots._ticks(1.0, 2.0))
+        # the series is drawn, every point inside the plot
+        points = svg.split('<polyline points="')[1].split('"')[0].split()
+        coords = [float(c) for point in points for c in point.split(",")]
+        assert len(coords) == 4 and all(math.isfinite(c) for c in coords)
+        assert plots.MARGIN_T <= min(coords[1::2]) < max(coords[1::2]) <= plots.HEIGHT - plots.MARGIN_B

@@ -169,7 +169,11 @@ class TestResolveContention:
 
 
 class TestContendShapes:
-    """The engine's contention routine on [T, N] slots and [k, T, N] chunks."""
+    """The engine's contention routine on [T, N] slots and [k, T, N] chunks.
+
+    Its one-hot, rates and tie-breaks are channel-major: [M, k, T, N] and
+    [M, k, T] for a chunk.
+    """
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), model=st.sampled_from(list(Contention)))
@@ -178,13 +182,14 @@ class TestContendShapes:
         k, trials = 3, 4
         n, m = int(rng.integers(1, 7)), int(rng.integers(1, 4))  # collisions are common
         actions = rng.integers(0, m, (k, trials, n))
-        chosen = actions[..., None] == np.arange(m)
+        chosen = actions == np.arange(m).reshape(m, 1, 1, 1)
         rates = rng.uniform(0.0, 5.0, (k, trials, m))
         tiebreak = rng.random((k, trials, m))
-        chunk = simulator._contend(model, actions, chosen, rates, tiebreak)
+        by_channel = rates.transpose(2, 0, 1), tiebreak.transpose(2, 0, 1)
+        chunk = simulator._contend(model, chosen, *by_channel)
         assert chunk.shape == (k, trials, n)
         slots = [
-            simulator._contend(model, actions[s], chosen[s], rates[s], tiebreak[s])
+            simulator._contend(model, chosen[:, s], *(a[:, s] for a in by_channel))
             for s in range(k)
         ]
         assert np.array_equal(chunk, np.stack(slots))
@@ -197,13 +202,12 @@ class TestContendShapes:
     def test_slot_winner_rank_counts_from_one(self):
         # users 1, 2 and 4 share channel 1; floor(0.7 * 3) = 2 picks user 4
         actions = np.array([[[0, 0, 1, 0]]])
-        chosen = actions[..., None] == np.arange(2)
+        chosen = actions == np.arange(2).reshape(2, 1, 1, 1)
         got = simulator._contend(
             Contention.SLOT_WINNER,
-            actions,
             chosen,
-            np.array([[[5.0, 1.0]]]),
-            np.array([[[0.7, 0.0]]]),
+            np.array([[[5.0]], [[1.0]]]),
+            np.array([[[0.7]], [[0.0]]]),
         )
         assert got.tolist() == [[[0.0, 0.0, 1.0, 5.0]]]
 
