@@ -110,15 +110,21 @@ class RateSampler:
 
     def __init__(self, specs: Sequence[ChannelSpec]) -> None:
         k = max(len(spec.rates) for spec in specs)
-        # padding: the true last state's cumulative 1 already exceeds every u
-        self._cum = np.full((len(specs), k), np.inf)
-        self._rates = np.zeros((len(specs), k))
+        # every channel's cumulative values but its last, one row per state;
+        # padding: +inf is never <= u
+        self._thresholds = np.full((k - 1, len(specs)), np.inf)
+        rates = np.zeros((len(specs), k))
         for m, spec in enumerate(specs):
-            self._cum[m, : len(spec.rates)] = spec._cum_probs
-            self._rates[m, : len(spec.rates)] = spec.rates
-        self._channels = np.arange(len(specs))
+            self._thresholds[: len(spec.rates) - 1, m] = spec._cum_probs[:-1]
+            rates[m, : len(spec.rates)] = spec.rates
+        self._rates = rates.ravel()
+        self._offsets = np.arange(len(specs)) * k  # each channel's row in _rates
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        # the first cumulative above u: bisect_right, as in sample_realization
-        state = (self._cum > u[..., None]).argmax(axis=-1)
-        return self._rates[self._channels, state]
+        # bisect_right, as in sample_realization: the state is the number of
+        # cumulative values <= u. A channel's last one is 1, which no u
+        # reaches, so it is left out.
+        state = self._offsets + np.zeros(u.shape, dtype=np.intp)
+        for row in self._thresholds:
+            state += row <= u
+        return self._rates.take(state)

@@ -23,22 +23,26 @@ whatever the trial count, block size or chunk size.
 
 Uniforms are drawn a chunk of slots at a time, and the chunk's channel
 states with them. A policy that learns steps through the chunk slot by
-slot, since each slot's actions depend on the last update. One that does
-not learn (`learns` false, the random baseline) never reads payoffs, so it
-acts, contends and logs the whole chunk as [k, T, N] arrays; its `act` then
-receives [k, T, N] uniforms and returns the one-hot [M, k, T, N].
+slot, since each slot's actions depend on the last update. Its slot step
+allocates nothing: sampling and contention write into one workspace of
+buffers made once per block (`_Work`), and the update into buffers the
+policy makes on its first call. One that does not learn (`learns` false,
+the random baseline) never reads payoffs, so its `play` acts, contends and
+logs the whole chunk as [k, T, N] arrays. The held baseline's takers and
+ranks never change, so it only gathers each user's rate and tie-break.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from specgame.capacity import empirical_effective_capacity
+from specgame.capacity import effective_capacity
 from specgame.channels import RateSampler
-from specgame.game import Contention, GameSpec, congestion_counts, utility
+from specgame.game import Contention, GameSpec, congestion_counts, shared_rate_distribution
 from specgame.learning import StepSchedule, check_estimates, check_simplex_rows
 
 AGGREGATE_TOL = 1e-9
@@ -204,46 +208,78 @@ def resolve_contention(
     return payoffs
 
 
-def _contend(model: Contention, chosen, rates, tiebreak) -> np.ndarray:
+class _Work:
+    """The preallocated buffers of one engine step, and fixed views of them.
+
+    `shape` is the shape of the action uniforms the step reads: [T, N] for
+    one slot of a block, [k, T, N] for a chunk of k slots. Every buffer is
+    channel-major, [M, *shape], or [M, *shape[:-1], 1] for one value per
+    channel. `_sample` writes the one-hot `chosen`, and `_contend` reads it.
+    """
+
+    def __init__(self, m: int, shape: tuple[int, ...]) -> None:
+        full, per_channel = (m,) + shape, (m,) + shape[:-1] + (1,)
+        self.cum = np.empty((m - 1,) + shape)  # running sums of p
+        # whether a running sum is above u; row 0 is the empty sum
+        above = np.zeros((m + 1,) + shape, dtype=bool)
+        above[-1] = True
+        self.above_sums, self.above_hi, self.above_lo = above[1:-1], above[1:], above[:-1]
+        self.chosen = np.empty(full, dtype=bool)
+        self.chosen_u8 = self.chosen.view(np.uint8)
+        # takers so far in user order, in the smallest integer type that
+        # holds N, which keeps chunk-sized buffers small
+        self.taken = np.empty(full, dtype=np.min_scalar_type(shape[-1]))
+        self.counts = self.taken[..., -1:]
+        self.draw = np.empty(per_channel)  # slot winner: u * c
+        # whether the takers so far are more than u * c; column 0 is no user
+        past = np.zeros((m,) + shape[:-1] + (shape[-1] + 1,), dtype=bool)
+        self.past, self.past_before = past[..., 1:], past[..., :-1]
+        self.paid = np.empty(full, dtype=bool)
+        self.share = np.empty(per_channel)  # fair share: each taker's rate
+        self.shares = np.broadcast_to(self.share, full)
+
+
+def _contend(model: Contention, work: _Work, rates, tiebreak, out) -> None:
     """resolve_contention for a block of trials, over any leading shape.
 
-    chosen is the channel-major one-hot [M, ..., N] of the users' actions,
-    and rates and tiebreak are channel-major too, [M, ...]. Returns the
-    [..., N] payoffs: per user, the sum over channels of what it gets on
-    each. It gets something on one channel at most, so the sum adds exact
-    zeros to one value, which is exact in any order.
+    Reads the channel-major one-hot [M, ..., N] of the users' actions from
+    `work.chosen`. rates are channel-major and broadcast over users,
+    [M, ..., N], and tiebreak is [M, ..., 1]. Writes the [..., N] payoffs to
+    `out`: per user, the sum over channels of what it gets on each. It gets
+    something on one channel at most, so the sum adds one value to the
+    reduction's zero, which is exact.
     """
-    # [M, ..., N]: takers so far in user order, in the smallest integer type
-    # that holds N, which keeps chunk-sized temporaries small
-    dtype = np.min_scalar_type(chosen.shape[-1])
-    taken = np.add.accumulate(chosen.view(np.uint8), axis=-1, dtype=dtype)
-    counts = taken[..., -1]  # [M, ...]
+    taken, counts = work.taken, work.counts
+    np.add.accumulate(work.chosen_u8, -1, taken.dtype, taken)
     if model is Contention.FAIR_SHARE:
-        # an empty channel divides by 1 instead of 0; no user reads it
-        paid, value = chosen, rates / np.maximum(counts, 1)
-    else:
-        # a taker wins when its rank among the channel's takers is floor(u * c)
-        winner = np.floor(tiebreak * counts)
-        winner += 1  # as a 1-based rank
-        paid = taken == winner[..., None]
-        paid &= chosen
-        value = rates
-    return np.einsum("m...n,m...->...n", paid, value)
+        # an empty channel divides by 1 instead of 0; no user reads it, and
+        # fair share reads nothing else of `taken`
+        np.maximum(counts, 1, out=counts)
+        np.divide(rates[..., :1], counts, out=work.share)
+        np.add.reduce(work.shares, 0, None, out, where=work.chosen)
+        return
+    # The winner's 1-based rank among the channel's c takers is
+    # floor(u * c) + 1: the first taker whose count so far is above u * c.
+    # Counts only grow, and only at takers, so it is where the count is
+    # above u * c and the count before it is not.
+    np.multiply(tiebreak, counts, out=work.draw)
+    np.greater(taken, work.draw, out=work.past)
+    np.greater(work.past, work.past_before, out=work.paid)
+    np.add.reduce(rates, 0, None, out, where=work.paid)
 
 
-def _sample(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _sample(p: np.ndarray, u: np.ndarray, work: _Work) -> np.ndarray:
     """Inverse-CDF draws from the channel-major strategies p [M, ...] at
-    uniforms u [...], as their channel-major one-hot [M, ...].
+    uniforms u [...], as their channel-major one-hot, `work.chosen`.
 
     The arithmetic of learning.sample_profile: running sums in channel
     order, the last one taken as 1, and the first sum above u
     (bisect_right). Running sums never fall, so a channel is drawn where
     its sum is above u and the sum before it is not.
     """
-    above = np.zeros((len(p) + 1,) + u.shape, dtype=bool)  # row 0: the empty sum
-    above[-1] = True
-    np.greater(np.add.accumulate(p[:-1], axis=0), u, out=above[1:-1])
-    return above[1:] > above[:-1]
+    np.add.accumulate(p[:-1], 0, None, work.cum)
+    np.greater(work.cum, u, out=work.above_sums)
+    return np.greater(work.above_hi, work.above_lo, out=work.chosen)
 
 
 @dataclass
@@ -263,36 +299,25 @@ class BlockState:
 
 
 class Policy:
-    """How one algorithm acts on and learns from a block of trials.
+    """How one algorithm learns from a block of trials; one instance serves
+    one block.
 
-    `act(p, u)` maps the channel-major strategies [M, T, N] and the N action
-    uniforms of each trial, [T, N], to the channel-major one-hot [M, T, N]
-    of the chosen channels. `update(state, chosen, payoffs)` takes that
-    one-hot and the [T, N] payoffs, and works on whole [T, N] slabs:
-    per-user values broadcast over the leading channel axis, and sums over
-    channels add the slabs in channel order, the order of numpy's row sum
-    up to seven channels. One instance serves one block.
-
-    A policy that does not learn never reads payoffs, so the engine runs it
-    a chunk at a time: `act` then receives [k, T, N] uniforms for k slots
-    and returns the one-hot [M, k, T, N], and `update` is never called.
+    A policy that learns (`learns` true) acts by `_sample` on its
+    strategies, and `update(state, chosen, payoffs)` takes the channel-major
+    one-hot [M, T, N] of the chosen channels and the [T, N] payoffs. It works
+    on whole [T, N] slabs: per-user values broadcast over the leading channel
+    axis, and sums over channels add the slabs in channel order, the order of
+    numpy's row sum up to seven channels. Its buffers are allocated on the
+    first update. The engine checks its state once per chunk.
     """
 
     learns = True  # whether it updates on payoffs; the convergence slot is read off p
 
-    def act(self, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _sample(p, u)
-
     def update(self, state: BlockState, chosen: np.ndarray, payoffs: np.ndarray) -> None:
-        pass
+        raise NotImplementedError
 
     def check(self, state: BlockState) -> None:
-        check_simplex_rows(np.moveaxis(state.p, 0, -1))
-
-    def final_profile(self, state: BlockState, chosen: np.ndarray) -> np.ndarray:
-        """The 0-based profile a trial ends on, [T, N], given what the last
-        call to `act` returned."""
-        return state.p.argmax(axis=0)
+        check_simplex_rows(state.p.transpose(1, 2, 0))
 
 
 class LearnPolicy(Policy):
@@ -304,25 +329,31 @@ class LearnPolicy(Policy):
         self.log_gain = math.log1p(config.eta)
         self.thetas = np.asarray(config.game.thetas, dtype=float)
         self.neg_thetas = -self.thetas
+        self.w = self.row = None
 
     def update(self, state, chosen, payoffs):
-        lam = self.schedule.lambda_at(state.slot)
+        if self.w is None:
+            self.w, self.row = np.empty_like(state.p), np.empty_like(payoffs)
+        w, row, p, q = self.w, self.row, state.p, state.q
         # payoff_transform, less its per-call check of the exponents
-        target = np.expm1(self.neg_thetas * payoffs) / self.neg_thetas
-        q = state.q
-        moved = target - q
-        moved *= lam
-        moved += q
-        np.copyto(q, moved, where=chosen)
-        w = q * self.log_gain
-        w -= w.max(axis=0)
+        np.multiply(self.neg_thetas, payoffs, out=row)
+        np.expm1(row, out=row)
+        np.divide(row, self.neg_thetas, out=row)
+        # the chosen estimates move by lambda towards it
+        np.subtract(row, q, out=w)
+        np.multiply(w, self.schedule.lambda_at(state.slot), out=w)
+        np.add(w, q, out=q, where=chosen)
+        np.multiply(q, self.log_gain, out=w)
+        np.maximum.reduce(w, 0, None, row)
+        np.subtract(w, row, out=w)
         np.exp(w, out=w)
-        w *= state.p
-        np.divide(w, w.sum(axis=0), out=state.p)
+        np.multiply(w, p, out=w)
+        np.add.reduce(w, 0, None, row)
+        np.divide(w, row, out=p)
 
     def check(self, state):
         super().check(state)
-        check_estimates(np.moveaxis(state.q, 0, -1), self.thetas)
+        check_estimates(state.q.transpose(1, 2, 0), self.thetas)
 
 
 class SLAPolicy(Policy):
@@ -331,39 +362,91 @@ class SLAPolicy(Policy):
     def __init__(self, config: SimConfig) -> None:
         self.b = config.sla_gain
         self.r_max = config.rate_cap()
+        self.w = self.row = None
 
     def update(self, state, chosen, payoffs):
+        if self.w is None:
+            self.w, self.row = np.empty_like(state.p), np.empty_like(payoffs)
+        w, row, p = self.w, self.row, state.p
         # payoffs are >= 0, so only the upper clip of sla_update can act
-        rhat = np.minimum(payoffs / self.r_max, 1.0)
-        p = chosen - state.p
-        p *= self.b * rhat
-        p += state.p
-        np.divide(p, p.sum(axis=0), out=state.p)
+        np.divide(payoffs, self.r_max, out=row)
+        np.minimum(row, 1.0, out=row)
+        np.multiply(row, self.b, out=row)
+        np.subtract(chosen, p, out=w)
+        np.multiply(w, row, out=w)
+        np.add(w, p, out=w)
+        np.add.reduce(w, 0, None, row)
+        np.divide(w, row, out=p)
 
 
 class RandomPolicy(Policy):
     """Uniform choices: one profile held from the first slot, or a fresh
-    one every slot. Draws like learning.random_baseline_profile."""
+    one every slot. Draws like learning.random_baseline_profile.
+
+    It never reads payoffs, so the engine runs it a chunk at a time through
+    `play`. Its strategies stay uniform, so the engine does not check them.
+    """
 
     learns = False
 
     def __init__(self, config: SimConfig) -> None:
         self.per_slot = config.random_per_slot
         self.held: np.ndarray | None = None
+        self.work: _Work | None = None
 
-    def act(self, p, u):
-        # u is [k, T, N]: k slots of action uniforms
+    def play(self, model, p, u, rates, tiebreak, out) -> np.ndarray:
+        """Act and contend for a chunk of k slots.
+
+        p is the uniform [M, T, N], u the action uniforms [k, T, N], and
+        rates and tiebreak are [k, T, M]. Writes the [k, T, N] payoffs to
+        `out` and returns the 0-based channels chosen, [k, T, N].
+        """
         if self.per_slot:
-            return _sample(p[:, None], u)
+            if self.work is None or self.work.chosen.shape[1:] != u.shape:
+                self.work = _Work(len(p), u.shape)
+            chosen = _sample(np.broadcast_to(p[:, None], (len(p),) + u.shape), u, self.work)
+            rates = np.broadcast_to(rates.transpose(2, 0, 1)[..., None], self.work.chosen.shape)
+            _contend(model, self.work, rates, tiebreak.transpose(2, 0, 1)[..., None], out)
+            return chosen.argmax(axis=0)
         if self.held is None:
-            self.held = _sample(p, u[0])[:, None]
-        return np.broadcast_to(self.held, (len(p),) + u.shape)
+            self._hold(p, u[0])
+        # each user's channel's rate and tie-break, [k, T, N]
+        got = rates[:, self.rows, self.held]
+        if model is Contention.FAIR_SHARE:
+            np.divide(got, self.count, out=out)
+        else:
+            # the winner's 0-based rank is floor(u * c), as in _contend
+            tie = tiebreak[:, self.rows, self.held]
+            tie *= self.count
+            np.floor(tie, out=tie)
+            np.multiply(got, tie == self.rank, out=out)
+        return np.broadcast_to(self.held, u.shape)
 
-    def final_profile(self, state, chosen):
-        return chosen[:, -1].argmax(axis=0)  # the last chunk's last slot
+    def _hold(self, p, u):
+        """Draw the held profile at the first slot's uniforms u [T, N]; its
+        takers per channel and each user's rank among them never change."""
+        held = _sample(p, u, _Work(len(p), u.shape)).argmax(axis=0)
+        same = held[..., :, None] == held[..., None, :]  # [T, N, N]: users on one channel
+        self.count = same.sum(axis=-1, dtype=float)  # takers of each user's channel
+        self.rank = np.tril(same, -1).sum(axis=-1, dtype=float)  # takers before it
+        self.rows = np.arange(len(held))[:, None]
+        self.held = held
 
 
 POLICIES = {"learn": LearnPolicy, "sla": SLAPolicy, "random": RandomPolicy}
+
+
+def _closed_form(game: GameSpec):
+    """game.utility by (channel, takers, theta), memoized: the closed-form
+    EC of a user with exponent theta on the 1-based channel when that many
+    users take it."""
+
+    @functools.cache
+    def closed(channel: int, count: int, theta: float) -> float:
+        law = shared_rate_distribution(game.channels[channel - 1], count, game.contention)
+        return effective_capacity(law, theta)
+
+    return closed
 
 
 def _score(
@@ -373,7 +456,16 @@ def _score(
     conv_slot: int | None,
     payoff_log: np.ndarray,
     traces: TrialTraces | None,
+    closed,
 ) -> TrialResult:
+    """Score one trial from its [slots, N] payoffs.
+
+    The empirical EC of every user is empirical_effective_capacity on the
+    user's tail, all users at once: each user's series is one contiguous row,
+    so its sum is the pairwise sum of a 1-D array, and the log is the same
+    math.log. `closed(channel, count, theta)` is the closed-form EC of a user
+    on a channel with that many takers, from `_closed_form`.
+    """
     game = config.game
     if config.window is not None:
         burn_in = config.iterations - config.window
@@ -382,11 +474,18 @@ def _score(
     else:
         burn_in = config.iterations // 2
     tail = payoff_log[burn_in:]
-    ec_emp = tuple(
-        empirical_effective_capacity(tail[:, u], game.thetas[u])
-        for u in range(game.n_users)
+    thetas = np.asarray(game.thetas)
+    # log_sum_exp of -theta r per user, shifted by its max
+    x = np.multiply(tail.T, -thetas[:, None], order="C")
+    shift = x.max(axis=1)
+    x -= shift[:, None]
+    np.exp(x, out=x)
+    logs = [math.log(total) for total in x.sum(axis=1).tolist()]
+    ec_emp = tuple((-(shift + logs - math.log(len(tail))) / thetas).tolist())
+    counts = congestion_counts(profile, game.n_channels)
+    ec_closed = tuple(
+        closed(a, counts[a - 1], theta) for a, theta in zip(profile, game.thetas)
     )
-    ec_closed = tuple(utility(game, profile, u) for u in range(game.n_users))
     return TrialResult(
         trial=trial_index,
         profile=profile,
@@ -411,12 +510,16 @@ def _trial_bytes(config: SimConfig) -> int:
 def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
     """Run the given trials in lockstep and score each one."""
     game = config.game
+    model = game.contention
     n, m, slots = game.n_users, game.n_channels, config.iterations
     size = len(trials)
     rngs = [trial_rng(config.base_seed, i) for i in trials]
     policy = POLICIES[config.algorithm](config)
     state = BlockState(p=np.full((m, size, n), 1.0 / m), q=np.zeros((m, size, n)))
+    work = _Work(m, (size, n))
     sample_rates = RateSampler(game.channels)
+    # per trial, the chunk's uniforms as one contiguous row
+    draws = np.empty((size, CHUNK_SLOTS, n + 2 * m))
     # per-slot logs, slot-major, so one slot or one chunk writes as one row
     payoff_log = np.empty((slots, size, n))
     if config.collect_traces:
@@ -428,25 +531,42 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
 
     for start in range(0, slots, CHUNK_SLOTS):
         k = min(CHUNK_SLOTS, slots - start)
-        uniforms = np.stack([rng.random((k, n + 2 * m)) for rng in rngs], axis=1)
-        act_u = uniforms[..., :n]
-        # channel-major views, [M, k, T]
-        tiebreak = uniforms[..., n + m :].transpose(2, 0, 1)
-        rates = sample_rates(uniforms[..., n : n + m]).transpose(2, 0, 1)
+        for rng, row in zip(rngs, draws):
+            rng.random(out=row[:k])
+        # the rates are sampled in the draws' own [T, k] order, which is
+        # faster; all three are then [k, T, ...] views
+        rates = sample_rates(draws[:, :k, n : n + m]).swapaxes(0, 1)
+        uniforms = draws[:, :k].swapaxes(0, 1)
+        act_u, tiebreak = uniforms[..., :n], uniforms[..., n + m :]
         window = slice(start, start + k)
         payoffs_at = payoff_log[window]
         if config.collect_traces:
             p_at, q_at, a_at = trace_p[window], trace_q[window], trace_a[window]
+        if not policy.learns:
+            actions = policy.play(model, state.p, act_u, rates, tiebreak, payoffs_at)
+            if config.collect_traces:
+                p_at[:] = state.p.transpose(1, 2, 0)
+                q_at[:] = state.q.transpose(1, 2, 0)
+                a_at[:] = actions + 1  # 1-based channel ids
+            continue
         # a learner steps slot by slot, since each slot's actions depend on
-        # the last update; a policy that does not learn takes the whole chunk
-        for s in range(k) if policy.learns else (slice(0, k),):
-            chosen = policy.act(state.p, act_u[s])
-            payoffs = _contend(game.contention, chosen, rates[:, s], tiebreak[:, s])
-            if policy.learns:
-                policy.update(state, chosen, payoffs)
-                state.slot += 1
-                state.p.max(axis=0, out=top[s])
-            payoffs_at[s] = payoffs
+        # the last update; each slot's channel-major views are split off
+        # once per chunk: rates [M, T, N] broadcast over users, tie-breaks
+        # [M, T, 1]
+        rates = rates.transpose(0, 2, 1)[..., None]
+        slot_views = zip(
+            act_u,
+            np.broadcast_to(rates, rates.shape[:-1] + (n,)),
+            tiebreak.transpose(0, 2, 1)[..., None],
+            payoffs_at,
+            top,
+        )
+        for s, (u, slot_rates, slot_ties, payoffs, best) in enumerate(slot_views):
+            chosen = _sample(state.p, u, work)
+            _contend(model, work, slot_rates, slot_ties, payoffs)
+            policy.update(state, chosen, payoffs)
+            state.slot += 1
+            np.maximum.reduce(state.p, 0, None, best)
             if config.collect_traces:
                 p_at[s] = state.p.transpose(1, 2, 0)
                 q_at[s] = state.q.transpose(1, 2, 0)
@@ -460,13 +580,13 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
                 f"trials {trials[0]}..{trials[-1]} (base seed {config.base_seed}), "
                 f"slot {start + k}: {err}"
             ) from err
-        if policy.learns:
-            # every user concentrated: learning.is_converged
-            hit = top[:k].min(axis=-1) >= 1.0 - config.epsilon
-            fresh = (conv < 0) & hit.any(axis=0)
-            conv[fresh] = start + hit.argmax(axis=0)[fresh] + 1
+        # every user concentrated: learning.is_converged
+        hit = top[:k].min(axis=-1) >= 1.0 - config.epsilon
+        fresh = (conv < 0) & hit.any(axis=0)
+        conv[fresh] = start + hit.argmax(axis=0)[fresh] + 1
 
-    finals = policy.final_profile(state, chosen) + 1
+    finals = (state.p.argmax(axis=0) if policy.learns else actions[-1]) + 1
+    closed = _closed_form(game)
     results = []
     for t, index in enumerate(trials):
         if policy.learns:
@@ -483,7 +603,7 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
             )
         profile = tuple(int(a) for a in finals[t])
         results.append(
-            _score(config, index, profile, conv_slot, payoff_log[:, t], traces)
+            _score(config, index, profile, conv_slot, payoff_log[:, t], traces, closed)
         )
     return results
 

@@ -210,3 +210,41 @@ class TestRateSampler:
         row = draws.random(m)
         want = sample_realization(specs, np.random.default_rng(seed + 1))
         assert tuple(sample(row).tolist()) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_ties_and_uniforms_on_a_cumulative_value(self, seed):
+        rng = np.random.default_rng(seed)
+        specs = []
+        for m in range(1, int(rng.integers(1, 5)) + 1):
+            k = int(rng.integers(1, 6))
+            probs = rng.dirichlet(np.ones(k))
+            # zero-probability states repeat a cumulative value
+            probs[rng.random(k) < 0.4] = 0.0
+            if probs.sum() == 0.0:
+                probs[-1] = 1.0
+            rates = np.cumsum(rng.uniform(0.05, 2.0, k))
+            specs.append(ChannelSpec(id=m, rates=tuple(rates), probs=tuple(probs / probs.sum())))
+        # per channel: 0, every cumulative value below 1, the float below
+        # each, and a random uniform
+        options = []
+        for spec in specs:
+            cum = [c for c in spec._cum_probs if c < 1.0]
+            below = [math.nextafter(c, 0.0) for c in cum]
+            options.append([0.0, *cum, *below, float(rng.random())])
+        rows = np.array([[float(rng.choice(o)) for o in options] for _ in range(32)])
+        sample = RateSampler(specs)
+        for row, got in zip(rows, sample(rows)):
+            want = sample_realization(specs, FixedUniforms(row))
+            assert tuple(got.tolist()) == want
+
+
+class FixedUniforms:
+    """A generator stand-in whose `random` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_game
 from specgame.capacity import effective_capacity, empirical_effective_capacity
 from specgame.channels import ChannelSpec
-from specgame.game import Contention, GameSpec, shared_rate_distribution
+from specgame.game import Contention, GameSpec, shared_rate_distribution, utility
 from specgame import simulator
 from specgame.simulator import (
     SimConfig,
@@ -168,6 +168,18 @@ class TestResolveContention:
                 assert sum(on_m) == pytest.approx(rates[m - 1], abs=1e-12)
 
 
+def contend(model, chosen, rates, tiebreak):
+    """simulator._contend on a fresh workspace holding the one-hot `chosen`,
+    with the channel-major [M, ...] rates and tiebreak laid out as it reads
+    them."""
+    work = simulator._Work(len(chosen), chosen.shape[1:])
+    work.chosen[...] = chosen
+    out = np.empty(chosen.shape[1:])
+    rates = np.broadcast_to(rates[..., None], chosen.shape)
+    simulator._contend(model, work, rates, tiebreak[..., None], out)
+    return out
+
+
 class TestContendShapes:
     """The engine's contention routine on [T, N] slots and [k, T, N] chunks.
 
@@ -186,10 +198,10 @@ class TestContendShapes:
         rates = rng.uniform(0.0, 5.0, (k, trials, m))
         tiebreak = rng.random((k, trials, m))
         by_channel = rates.transpose(2, 0, 1), tiebreak.transpose(2, 0, 1)
-        chunk = simulator._contend(model, chosen, *by_channel)
+        chunk = contend(model, chosen, *by_channel)
         assert chunk.shape == (k, trials, n)
         slots = [
-            simulator._contend(model, chosen[:, s], *(a[:, s] for a in by_channel))
+            contend(model, chosen[:, s], *(a[:, s] for a in by_channel))
             for s in range(k)
         ]
         assert np.array_equal(chunk, np.stack(slots))
@@ -203,13 +215,107 @@ class TestContendShapes:
         # users 1, 2 and 4 share channel 1; floor(0.7 * 3) = 2 picks user 4
         actions = np.array([[[0, 0, 1, 0]]])
         chosen = actions == np.arange(2).reshape(2, 1, 1, 1)
-        got = simulator._contend(
+        got = contend(
             Contention.SLOT_WINNER,
             chosen,
             np.array([[[5.0]], [[1.0]]]),
             np.array([[[0.7]], [[0.0]]]),
         )
         assert got.tolist() == [[[0.0, 0.0, 1.0, 5.0]]]
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestHeldRandomGather:
+    """The held random baseline gathers each user's rate and tie-break; it
+    must pay what _contend pays on its one-hot broadcast over the chunk."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        m=st.integers(1, 5),
+        trials=st.integers(1, 5),
+        k=st.integers(1, 6),
+        model=st.sampled_from(list(Contention)),
+    )
+    def test_gathered_payoffs_equal_contend_on_the_broadcast_one_hot(
+        self, seed, n, m, trials, k, model
+    ):
+        rng = np.random.default_rng(seed)
+        game = random_game(rng, n_users=n, n_channels=m, contention=model)
+        policy = simulator.RandomPolicy(SimConfig(game=game, algorithm="random"))
+        p = np.full((m, trials, n), 1.0 / m)
+        first = None
+        for _ in range(2):  # the profile drawn in the first chunk is held
+            u = rng.random((k, trials, n))
+            rates = rng.uniform(0.0, 6.0, (k, trials, m))
+            rates[rng.random(rates.shape) < 0.2] = 0.0
+            tiebreak = rng.random((k, trials, m))
+            got = np.empty((k, trials, n))
+            actions = policy.play(model, p, u, rates, tiebreak, got)
+            first = actions[0].copy() if first is None else first
+            assert np.array_equal(actions, np.broadcast_to(first, actions.shape))
+            chosen = actions == np.arange(m).reshape(m, 1, 1, 1)
+            by_channel = rates.transpose(2, 0, 1), tiebreak.transpose(2, 0, 1)
+            want = contend(model, chosen, *by_channel)
+            assert np.array_equal(bits(got), bits(want))
+
+
+class TestBlockScoring:
+    """_score against the per-user scalar functions, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        slots=st.integers(1, 300),
+        window=st.none() | st.integers(1, 300),
+        conv_slot=st.none() | st.integers(0, 300),
+        trials=st.integers(1, 3),
+        model=st.sampled_from(list(Contention)),
+    )
+    def test_matches_empirical_capacity_and_utility(
+        self, seed, slots, window, conv_slot, trials, model
+    ):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        # distinct exponents, up to theta * rate of about 700
+        thetas = tuple(float(t) for t in rng.choice([1e-3, 0.01, 0.1, 1.0, 10.0, 50.0], n))
+        game = replace(random_game(rng, n_users=n, n_channels=m, contention=model), thetas=thetas)
+        window = None if window is None else min(window, slots)
+        config = SimConfig(game=game, iterations=slots, window=window)
+        # slot-major like the engine's log, read one trial at a time
+        log = rng.uniform(0.0, 14.0, (slots, trials, n))
+        log[rng.random(log.shape) < 0.3] = 0.0
+        profile = tuple(int(a) for a in rng.integers(1, m + 1, n))
+        closed = simulator._closed_form(game)
+        got = simulator._score(config, 0, profile, conv_slot, log[:, trials - 1], None, closed)
+        if window is not None:
+            burn_in = slots - window
+        elif conv_slot is not None:
+            burn_in = min(conv_slot, slots - 1)
+        else:
+            burn_in = slots // 2
+        tail = log[burn_in:, trials - 1]
+        want = [empirical_effective_capacity(tail[:, u], thetas[u]) for u in range(n)]
+        assert np.array_equal(bits(got.ec_empirical), bits(want))
+        want = [utility(game, profile, u) for u in range(n)]
+        assert np.array_equal(bits(got.ec_closed), bits(want))
+        assert got.agg_ec_closed == sum(want)
+
+    @pytest.mark.parametrize("slots", [1, 2, 8191, 8192, 8193, 20000])
+    def test_one_slot_and_long_tails(self, slots):
+        rng = np.random.default_rng(slots)
+        game = GameSpec(thetas=(0.01, 50.0, 1.0), channels=TWIN.channels)
+        config = SimConfig(game=game, iterations=slots, window=slots)
+        log = rng.uniform(0.0, 14.0, (slots, 2, 3))
+        got = simulator._score(
+            config, 0, (1, 1, 2), None, log[:, 1], None, simulator._closed_form(game)
+        )
+        want = [empirical_effective_capacity(log[:, 1, u], game.thetas[u]) for u in range(3)]
+        assert np.array_equal(bits(got.ec_empirical), bits(want))
 
 
 DOMINANT = GameSpec(
