@@ -361,9 +361,10 @@ def cmd_experiment(cfg: ExperimentConfig, out: Path, args) -> int:
             ),
             encoding="utf-8",
         )
+    rate = summary.convergence_rate
     print(
         f"experiment: {sim.trials} trials, convergence rate "
-        f"{summary.convergence_rate:.3f}, aggregate EC "
+        f"{'n/a' if math.isnan(rate) else f'{rate:.3f}'}, aggregate EC "
         f"{summary.mean_agg_closed:.4f} +/- {summary.std_agg_closed:.4f} -> {out}"
     )
     return 0
@@ -378,7 +379,7 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, args) -> int:
             [pt.variable for pt in points],
             np.array([pt.value for pt in points]),
             np.array([len(pt.summary.results) for pt in points]),
-            # mean_conv_slot None becomes NaN, an empty cell
+            # NaN and a mean_conv_slot of None become empty cells
             *(
                 np.array([getattr(pt.summary, name) for pt in points], dtype=float)
                 for name in SUMMARY_FIELDS

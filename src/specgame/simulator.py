@@ -626,15 +626,21 @@ class ExperimentSummary:
     std_agg_closed: float
     mean_agg_empirical: float
     std_agg_empirical: float
-    convergence_rate: float
+    convergence_rate: float  # NaN when the policy does not learn
     mean_conv_slot: float | None
 
 
-def summarize(results) -> ExperimentSummary:
+def summarize(results, learns: bool) -> ExperimentSummary:
+    """The statistics of trials run by a policy that learns or does not.
+
+    Convergence counts only for a policy that learns: the held random
+    baseline's conv_slot 0 marks its fixed profile, so without learning the
+    convergence rate is NaN and there is no mean convergence slot.
+    """
     rows = tuple(results)
     closed = np.array([r.agg_ec_closed for r in rows])
     emp = np.array([r.agg_ec_empirical for r in rows])
-    conv = [r.conv_slot for r in rows if r.conv_slot is not None]
+    conv = [r.conv_slot for r in rows if r.conv_slot is not None] if learns else []
     std = lambda a: float(a.std(ddof=1)) if len(a) > 1 else 0.0
     return ExperimentSummary(
         results=rows,
@@ -642,7 +648,7 @@ def summarize(results) -> ExperimentSummary:
         std_agg_closed=std(closed),
         mean_agg_empirical=float(emp.mean()),
         std_agg_empirical=std(emp),
-        convergence_rate=len(conv) / len(rows),
+        convergence_rate=len(conv) / len(rows) if learns else math.nan,
         mean_conv_slot=float(np.mean(conv)) if conv else None,
     )
 
@@ -657,7 +663,7 @@ def run_experiment(config: SimConfig) -> ExperimentSummary:
     for first in range(0, config.trials, per_block):
         last = min(first + per_block, config.trials)
         results += _run_block(config, range(first, last))
-    return summarize(results)
+    return summarize(results, POLICIES[config.algorithm].learns)
 
 
 SWEEP_VARIABLES = ("users", "theta", "eta")

@@ -570,6 +570,22 @@ class TestSweep:
         assert [r["value"] for r in rows] == ["0.05", "0.2"]
         assert float(rows[0]["mean_agg_closed"]) > 0
 
+    def test_random_baseline_reports_no_convergence(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            trials=2,
+            iterations=60,
+            algorithm="random",
+            sweep={"variable": "eta", "values": [0.05]},
+        )
+        out = tmp_path / "out"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out / "e")]) == 0
+        assert "convergence rate n/a," in capsys.readouterr().out
+        assert [r["conv_slot"] for r in read_rows(out / "e" / "trials.csv")] == ["0", "0"]
+        assert main(["sweep", "--config", str(cfg), "--out", str(out / "s")]) == 0
+        row = read_rows(out / "s" / "sweep.csv")[0]
+        assert row["convergence_rate"] == row["mean_conv_slot"] == ""
+
     def test_sweep_without_section_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

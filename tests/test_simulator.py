@@ -487,8 +487,8 @@ class TestRunExperiment:
     def test_summary_permutation_invariant(self):
         cfg = SimConfig(game=TWIN, iterations=100, trials=6, base_seed=3)
         results = [run_trial(cfg, i) for i in range(6)]
-        forward = summarize(results)
-        backward = summarize(list(reversed(results)))
+        forward = summarize(results, True)
+        backward = summarize(list(reversed(results)), True)
         assert forward.mean_agg_closed == backward.mean_agg_closed
         assert forward.convergence_rate == backward.convergence_rate
 
@@ -521,6 +521,17 @@ class TestRunExperiment:
         s = run_experiment(cfg)
         manual = sum(r.conv_slot is not None for r in s.results) / 4
         assert s.convergence_rate == manual
+
+    @pytest.mark.parametrize("per_slot", [False, True])
+    def test_random_baseline_has_no_convergence_rate(self, per_slot):
+        cfg = SimConfig(
+            game=TWIN, iterations=50, trials=3, algorithm="random", random_per_slot=per_slot
+        )
+        s = run_experiment(cfg)
+        assert math.isnan(s.convergence_rate)
+        assert s.mean_conv_slot is None
+        # the held baseline's trials keep conv_slot 0 for its fixed profile
+        assert [r.conv_slot for r in s.results] == [None if per_slot else 0] * 3
 
 
 class TestSweep:
