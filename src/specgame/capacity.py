@@ -25,11 +25,13 @@ import numpy as np
 PROB_SUM_TOL = 1e-9
 
 
-def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise ValueError(f"QoS exponent must be finite and > 0, got {theta!r}")
-    return theta
+def check_exponents(thetas) -> list[float]:
+    """`thetas` as floats; ValueError unless each is finite and > 0."""
+    thetas = list(map(float, thetas))
+    for t in thetas:
+        if not 0.0 < t < math.inf:  # NaN fails too
+            raise ValueError(f"QoS exponents must be finite and > 0, got {t!r}")
+    return thetas
 
 
 @dataclass(frozen=True)
@@ -94,21 +96,20 @@ def _log_mgf_neg(dist: RateDistribution, theta: float) -> float:
 
 def effective_capacity(dist: RateDistribution, theta: float) -> float:
     """C(theta) = -(1/theta) log E[exp(-theta x)]."""
-    theta = _check_theta(theta)
+    (theta,) = check_exponents((theta,))
     return -_log_mgf_neg(dist, theta) / theta
 
 
 def approx_utility(dist: RateDistribution, theta: float) -> float:
     """A(theta) = (1 - E[exp(-theta x)]) / theta, the first-order surrogate."""
-    theta = _check_theta(theta)
+    (theta,) = check_exponents((theta,))
     return -math.expm1(_log_mgf_neg(dist, theta)) / theta
 
 
 def payoff_transform(rate, theta):
     """(1 - exp(-theta r)) / theta for scalar or array rate (and theta)."""
     theta_arr = np.asarray(theta, dtype=float)
-    if np.any(~np.isfinite(theta_arr)) or np.any(theta_arr <= 0.0):
-        raise ValueError(f"QoS exponent must be finite and > 0, got {theta!r}")
+    check_exponents(theta_arr.ravel().tolist())
     out = -np.expm1(-theta_arr * np.asarray(rate, dtype=float)) / theta_arr
     return float(out) if np.ndim(out) == 0 else out
 
@@ -118,7 +119,7 @@ def empirical_effective_capacity(samples: Sequence[float], theta: float) -> floa
 
     Equals effective_capacity of the empirical distribution of the samples.
     """
-    theta = _check_theta(theta)
+    (theta,) = check_exponents((theta,))
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one sample")
@@ -131,6 +132,6 @@ def taylor_diagnostic(dist: RateDistribution, theta: float) -> tuple[float, floa
     Returns (mean - theta/2 * var, effective_capacity - that), using the
     population variance of the distribution.
     """
-    theta = _check_theta(theta)
+    (theta,) = check_exponents((theta,))
     approx = dist.mean() - 0.5 * theta * dist.variance()
     return approx, effective_capacity(dist, theta) - approx

@@ -277,15 +277,16 @@ def _write_trace(path: Path, traces) -> None:
 
 
 def _running_aggregate(payoffs: np.ndarray, thetas) -> np.ndarray:
-    """Aggregate empirical capacity over slots 1..t, for every t."""
+    """Aggregate empirical capacity over slots 1..t, for every t, with the sums
+    of exp(-theta r) kept in log space so that no prefix sum underflows."""
     thetas_arr = np.asarray(thetas)
-    slots = np.arange(1, len(payoffs) + 1).reshape(-1, 1)
-    cummean = np.cumsum(np.exp(-thetas_arr * payoffs), axis=0) / slots
-    return (-np.log(cummean) / thetas_arr).sum(axis=1)
+    log_sums = np.logaddexp.accumulate(-thetas_arr * payoffs, axis=0)
+    log_slots = np.log(np.arange(1, len(payoffs) + 1))[:, None]
+    return (-(log_sums - log_slots) / thetas_arr).sum(axis=1)
 
 
 def cmd_learn(cfg: ExperimentConfig, out: Path, args) -> int:
-    sim = replace(cfg.sim, collect_traces=True)
+    sim = cfg.sim
     result = run_trial(sim, 0)
     _write_trace(out / "trace.csv", result.traces)
     _write_csv(
@@ -350,8 +351,7 @@ def cmd_experiment(cfg: ExperimentConfig, out: Path, args) -> int:
         ),
     )
     if args.trace:
-        traced = run_trial(replace(sim, collect_traces=True), 0)
-        _write_trace(out / "trace.csv", traced.traces)
+        _write_trace(out / "trace.csv", run_trial(sim, 0).traces)
     if cfg.plot:
         (out / "aggregate_ec.svg").write_text(
             trials_chart(

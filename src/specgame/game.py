@@ -25,7 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from specgame.capacity import RateDistribution, approx_utility, effective_capacity
+from specgame.capacity import (
+    RateDistribution, approx_utility, check_exponents, effective_capacity
+)
 from specgame.channels import ChannelSpec
 
 ActionProfile = tuple[int, ...]
@@ -67,14 +69,12 @@ class GameSpec:
     contention: Contention = Contention.FAIR_SHARE
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
+        object.__setattr__(self, "thetas", tuple(check_exponents(self.thetas)))
         object.__setattr__(self, "channels", tuple(self.channels))
         if len(self.thetas) < 1:
             raise ValueError("need at least one user")
         if len(self.channels) < 1:
             raise ValueError("need at least one channel")
-        if any(not math.isfinite(t) or t <= 0.0 for t in self.thetas):
-            raise ValueError("QoS exponents must be finite and > 0")
         for pos, ch in enumerate(self.channels, start=1):
             if ch.id != pos:
                 raise ValueError(
@@ -95,21 +95,23 @@ class GameSpec:
         return first if all(t == first for t in self.thetas) else None
 
 
-def validate_profile(game: GameSpec, profile: Sequence[int]) -> ActionProfile:
-    prof = tuple(int(a) for a in profile)
-    if len(prof) != game.n_users:
-        raise ValueError(f"profile has {len(prof)} entries for {game.n_users} users")
-    if any(not 1 <= a <= game.n_channels for a in prof):
-        raise ValueError(f"profile entries must be channel ids in 1..{game.n_channels}")
-    return prof
-
-
 def congestion_counts(profile: Sequence[int], n_channels: int) -> tuple[int, ...]:
     """Number of users on each channel, indexed by channel id - 1."""
     counts = [0] * n_channels
     for a in profile:
         counts[a - 1] += 1
     return tuple(counts)
+
+
+def _occupancy(game: GameSpec, profile: Sequence[int]) -> tuple[ActionProfile, tuple[int, ...]]:
+    """The profile as a tuple of channel ids, checked against the game, and
+    its congestion counts."""
+    prof = tuple(int(a) for a in profile)
+    if len(prof) != game.n_users:
+        raise ValueError(f"profile has {len(prof)} entries for {game.n_users} users")
+    if any(not 1 <= a <= game.n_channels for a in prof):
+        raise ValueError(f"profile entries must be channel ids in 1..{game.n_channels}")
+    return prof, congestion_counts(prof, game.n_channels)
 
 
 def shared_rate_distribution(
@@ -138,8 +140,7 @@ def user_rate_distribution(
     game: GameSpec, profile: Sequence[int], user: int
 ) -> RateDistribution:
     """Rate law seen by `user` (0-based) under `profile`."""
-    prof = validate_profile(game, profile)
-    counts = congestion_counts(prof, game.n_channels)
+    prof, counts = _occupancy(game, profile)
     channel = game.channels[prof[user] - 1]
     return shared_rate_distribution(channel, counts[prof[user] - 1], game.contention)
 
@@ -160,16 +161,14 @@ def surrogate_utility(game: GameSpec, profile: Sequence[int], user: int) -> floa
 
 def expected_rate_share(game: GameSpec, profile: Sequence[int], user: int) -> float:
     """Mean rate per contender on the user's channel; same under both models."""
-    prof = validate_profile(game, profile)
-    counts = congestion_counts(prof, game.n_channels)
+    prof, counts = _occupancy(game, profile)
     channel = game.channels[prof[user] - 1]
     return channel.law.mean() / counts[prof[user] - 1]
 
 
 def rosenthal_potential(game: GameSpec, profile: Sequence[int]) -> float:
     """Exact potential of the expected-rate-share game: sum_m sum_{l<=c_m} mean_m / l."""
-    prof = validate_profile(game, profile)
-    counts = congestion_counts(prof, game.n_channels)
+    prof, counts = _occupancy(game, profile)
     total = 0.0
     for ch, c in zip(game.channels, counts):
         mr = ch.law.mean()
@@ -224,16 +223,14 @@ def ordinal_potential(game: GameSpec, profile: Sequence[int]) -> float:
     with the same sign as the deviator's utility change (fair-share model).
     """
     theta = _require_homogeneous(game)
-    prof = validate_profile(game, profile)
-    counts = congestion_counts(prof, game.n_channels)
+    prof, counts = _occupancy(game, profile)
     return -math.log(_phi(game, counts, theta)) / theta
 
 
 def surrogate_potential(game: GameSpec, profile: Sequence[int]) -> float:
     """Exact potential (1 - phi) / theta of the surrogate-payoff game."""
     theta = _require_homogeneous(game)
-    prof = validate_profile(game, profile)
-    counts = congestion_counts(prof, game.n_channels)
+    prof, counts = _occupancy(game, profile)
     return (1.0 - _phi(game, counts, theta)) / theta
 
 
@@ -277,6 +274,16 @@ class NashResult:
     gain: float | None = None
 
 
+def _improvement(table: np.ndarray, a: int, counts, tol: float) -> tuple[int, float] | None:
+    """The first channel that pays a user on channel `a` more than `tol`
+    above staying, with the gain, or None. `table` is the user's [M, N]."""
+    current = table[a - 1, counts[a - 1] - 1]
+    for b in range(1, len(counts) + 1):
+        if b != a and table[b - 1, counts[b - 1]] > current + tol:
+            return b, float(table[b - 1, counts[b - 1]] - current)
+    return None
+
+
 def _find_improvement(
     tables: list[np.ndarray],
     prof: ActionProfile,
@@ -284,15 +291,9 @@ def _find_improvement(
     tol: float,
 ) -> NashResult:
     for n, a in enumerate(prof):
-        current = tables[n][a - 1, counts[a - 1] - 1]
-        for b in range(1, len(counts) + 1):
-            if b == a:
-                continue
-            candidate = tables[n][b - 1, counts[b - 1]]
-            if candidate > current + tol:
-                return NashResult(
-                    False, user=n, better_channel=b, gain=float(candidate - current)
-                )
+        better = _improvement(tables[n], a, counts, tol)
+        if better is not None:
+            return NashResult(False, user=n, better_channel=better[0], gain=better[1])
     return NashResult(True)
 
 
@@ -303,8 +304,7 @@ def is_nash(
     payoff: str = "capacity",
 ) -> NashResult:
     """Check unilateral deviations; a deviation must gain more than `tol` to count."""
-    prof = validate_profile(game, profile)
-    counts = congestion_counts(prof, game.n_channels)
+    prof, counts = _occupancy(game, profile)
     tables = _count_utility_tables(game, payoff)
     return _find_improvement(tables, prof, counts, tol)
 
@@ -495,6 +495,14 @@ def enumerate_nash(
     return list(zip(*(profiles.T + 1).tolist()))
 
 
+def _state_potentials(game: GameSpec, theta: float, states: np.ndarray) -> np.ndarray:
+    """ordinal_potential of every occupancy state [S, M], with its arithmetic:
+    phi added in channel order, then math.log state by state."""
+    M = game.n_channels
+    phi = _sum_columns(_exp_term_table(game, theta, game.n_users)[np.arange(M), states])
+    return -np.array([math.log(v) for v in phi.tolist()]) / theta
+
+
 def potential_maximizer(game: GameSpec) -> ActionProfile:
     """The lexicographically first profile that maximizes `ordinal_potential`.
 
@@ -506,21 +514,8 @@ def potential_maximizer(game: GameSpec) -> ActionProfile:
     N, M = game.n_users, game.n_channels
     _check_state_count([N], M)
     states = occupancy_vectors(N, M)
-    g = _exp_term_table(game, theta, N)
-    chunk = max(1, SCAN_BYTES // (16 * M))  # the gathered table terms and phi
-    best, ties = -math.inf, []
-    for start in range(0, len(states), chunk):
-        block = states[start : start + chunk]
-        phi = _sum_columns(g[np.arange(M), block])
-        # the potential falls as phi grows, so only states whose phi is within
-        # rounding of the least can reach or tie the largest potential
-        near = np.flatnonzero(phi <= phi.min() * (1 + 1e-9))
-        for x, v in zip(block[near], phi[near].tolist()):
-            value = -math.log(v) / theta  # ordinal_potential's own arithmetic
-            if value > best:
-                best, ties = value, [x]
-            elif value == best:
-                ties.append(x)
+    potential = _state_potentials(game, theta, states)
+    ties = states[potential == potential.max()]
     # a state's first profile puts its users on channels in ascending order
     return min(tuple(np.repeat(np.arange(1, M + 1), x).tolist()) for x in ties)
 
@@ -579,17 +574,10 @@ def best_response_path(
     Raises BestResponseLimitError (carrying the last profile) if more than
     `max_steps` improvements occur without reaching an equilibrium.
     """
-    prof = list(validate_profile(game, start))
-    counts = list(congestion_counts(prof, game.n_channels))
+    prof, counts = map(list, _occupancy(game, start))
     tables = _count_utility_tables(game, payoff)
     for step in range(max_steps + 1):
-        improvers = []
-        for n, a in enumerate(prof):
-            current = tables[n][a - 1, counts[a - 1] - 1]
-            for b in range(1, game.n_channels + 1):
-                if b != a and tables[n][b - 1, counts[b - 1]] > current + tol:
-                    improvers.append(n)
-                    break
+        improvers = [n for n, a in enumerate(prof) if _improvement(tables[n], a, counts, tol)]
         if not improvers:
             return BestResponsePath(tuple(prof), step)
         if step == max_steps:
@@ -670,9 +658,7 @@ def verify_potentials(game: GameSpec, zero_tol: float = TIE_TOL) -> PotentialRep
     share_potential = _sum_columns(cum_share[np.arange(M), states])
     if theta is not None:
         table = _count_utility_tables(game, "capacity")[0]
-        phi = _sum_columns(_exp_term_table(game, theta, N)[np.arange(M), states])
-        # math.log, state by state, is the ordinal potential's own arithmetic
-        potential = -np.array([math.log(v) for v in phi.tolist()]) / theta
+        potential = _state_potentials(game, theta, states)
 
     step = np.eye(M, dtype=np.int64)
     epg_max = 0.0

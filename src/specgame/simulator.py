@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,10 +45,8 @@ from specgame.channels import RateSampler
 from specgame.game import Contention, GameSpec, congestion_counts, shared_rate_distribution
 from specgame.learning import StepSchedule, check_estimates, check_simplex_rows
 
-AGGREGATE_TOL = 1e-9
-
-# Byte budget of the per-slot logs of one block of trials: payoffs, plus
-# traces when collected. Larger experiments run as several blocks.
+# Byte budget of the per-slot payoff log of one untraced block of trials.
+# Larger experiments run as several blocks.
 BLOCK_BYTES = 16 << 20
 
 # Slots of uniforms drawn from each trial's generator at once. The engine
@@ -112,7 +110,6 @@ class SimConfig:
     sla_rate_cap: float | None = None  # None -> largest channel rate
     random_per_slot: bool = False
     window: int | None = None
-    collect_traces: bool = False
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
@@ -136,6 +133,8 @@ class SimConfig:
         cap = self.sla_rate_cap
         if cap is not None and not (cap > 0.0 and math.isfinite(cap)):
             raise ValueError(f"sla_rate_cap must be > 0 and finite, got {cap!r}")
+        if self.algorithm == "sla" and self.rate_cap() <= 0.0:
+            raise ValueError("sla_rate_cap must be set when every channel's top rate is 0")
         # surface bad step parameters at config time, not mid-trial
         StepSchedule(eta=self.eta, lam=self.lam)
 
@@ -149,8 +148,8 @@ class SimConfig:
 class TrialTraces:
     """Per-slot state of one trial; slot t holds the post-update values.
 
-    Compares by identity: the arrays are bulk telemetry, and element-wise
-    comparison inside TrialResult equality would be both slow and ambiguous.
+    Compares by identity: element-wise comparison of the arrays would be
+    both slow and ambiguous.
     """
 
     p: np.ndarray  # [iterations, N, M]
@@ -161,22 +160,22 @@ class TrialTraces:
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One scored trial. Its traces, kept when traced, never take part in ==."""
+
     trial: int
     profile: tuple[int, ...]
     conv_slot: int | None
     ec_closed: tuple[float, ...]
     ec_empirical: tuple[float, ...]
-    agg_ec_closed: float
-    agg_ec_empirical: float
-    traces: TrialTraces | None = None
+    traces: TrialTraces | None = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        gap = abs(self.agg_ec_closed - sum(self.ec_closed))
-        if not gap <= AGGREGATE_TOL:
-            raise ValueError(
-                f"trial {self.trial}: aggregate {self.agg_ec_closed!r} is off "
-                f"the sum of its users by {gap:.3e}"
-            )
+    @property
+    def agg_ec_closed(self) -> float:
+        return float(sum(self.ec_closed))
+
+    @property
+    def agg_ec_empirical(self) -> float:
+        return float(sum(self.ec_empirical))
 
 
 def resolve_contention(
@@ -492,23 +491,13 @@ def _score(
         conv_slot=conv_slot,
         ec_closed=ec_closed,
         ec_empirical=ec_emp,
-        agg_ec_closed=float(sum(ec_closed)),
-        agg_ec_empirical=float(sum(ec_emp)),
         traces=traces,
     )
 
 
-def _trial_bytes(config: SimConfig) -> int:
-    """Bytes of per-slot logs one trial holds in its block."""
-    n, m = config.game.n_users, config.game.n_channels
-    per_slot = n  # payoffs
-    if config.collect_traces:
-        per_slot += 2 * n * m + n  # p, q and actions
-    return 8 * per_slot * config.iterations
-
-
-def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
-    """Run the given trials in lockstep and score each one."""
+def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[TrialResult]:
+    """Run the given trials in lockstep and score each one, with its per-slot
+    traces when `traced`."""
     game = config.game
     model = game.contention
     n, m, slots = game.n_users, game.n_channels, config.iterations
@@ -522,7 +511,7 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
     draws = np.empty((size, CHUNK_SLOTS, n + 2 * m))
     # per-slot logs, slot-major, so one slot or one chunk writes as one row
     payoff_log = np.empty((slots, size, n))
-    if config.collect_traces:
+    if traced:
         trace_p = np.empty((slots, size, n, m))
         trace_q = np.empty((slots, size, n, m))
         trace_a = np.empty((slots, size, n), dtype=int)
@@ -540,11 +529,11 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
         act_u, tiebreak = uniforms[..., :n], uniforms[..., n + m :]
         window = slice(start, start + k)
         payoffs_at = payoff_log[window]
-        if config.collect_traces:
+        if traced:
             p_at, q_at, a_at = trace_p[window], trace_q[window], trace_a[window]
         if not policy.learns:
             actions = policy.play(model, state.p, act_u, rates, tiebreak, payoffs_at)
-            if config.collect_traces:
+            if traced:
                 p_at[:] = state.p.transpose(1, 2, 0)
                 q_at[:] = state.q.transpose(1, 2, 0)
                 a_at[:] = actions + 1  # 1-based channel ids
@@ -567,11 +556,11 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
             policy.update(state, chosen, payoffs)
             state.slot += 1
             np.maximum.reduce(state.p, 0, None, best)
-            if config.collect_traces:
+            if traced:
                 p_at[s] = state.p.transpose(1, 2, 0)
                 q_at[s] = state.q.transpose(1, 2, 0)
                 chosen.argmax(axis=0, out=a_at[s])
-        if config.collect_traces:
+        if traced:
             a_at += 1  # 1-based channel ids
         try:
             policy.check(state)
@@ -594,7 +583,7 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
         else:
             conv_slot = None if config.random_per_slot else 0
         traces = None
-        if config.collect_traces:
+        if traced:
             traces = TrialTraces(
                 p=trace_p[:, t],
                 q=trace_q[:, t],
@@ -609,12 +598,11 @@ def _run_block(config: SimConfig, trials: range) -> list[TrialResult]:
 
 
 def run_trial(config: SimConfig, trial_index: int) -> TrialResult:
-    """One independent run of the configured algorithm.
+    """One independent run of the configured algorithm, with its traces.
 
-    Equal to the same trial inside run_experiment; traced when
-    config.collect_traces is set.
+    Equal to the same trial inside run_experiment, which keeps no traces.
     """
-    return _run_block(config, range(trial_index, trial_index + 1))[0]
+    return _run_block(config, range(trial_index, trial_index + 1), True)[0]
 
 
 @dataclass(frozen=True)
@@ -656,9 +644,9 @@ def summarize(results, learns: bool) -> ExperimentSummary:
 def run_experiment(config: SimConfig) -> ExperimentSummary:
     """All trials of one configuration, in trial-index order.
 
-    Trials run in blocks of as many as fit BLOCK_BYTES.
+    Trials run untraced, in blocks of as many payoff logs as fit BLOCK_BYTES.
     """
-    per_block = max(1, BLOCK_BYTES // _trial_bytes(config))
+    per_block = max(1, BLOCK_BYTES // (8 * config.game.n_users * config.iterations))
     results = []
     for first in range(0, config.trials, per_block):
         last = min(first + per_block, config.trials)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import row_major_step
 from conftest import random_game
 from specgame.game import Contention
-from specgame.simulator import SimConfig, run_experiment
+from specgame import simulator
+from specgame.simulator import SimConfig
 
 TOL = 1e-12
 
@@ -41,13 +42,12 @@ def configs(draw, channels):
         lam=draw(st.sampled_from([None, 0.3, 1.0])),
         sla_gain=draw(st.sampled_from([0.08, 0.5])),
         random_per_slot=True,
-        collect_traces=True,
     )
 
 
 def traces(config):
     """The engine's traces of every trial, stacked as [slots, T, ...]."""
-    results = run_experiment(config).results
+    results = simulator._run_block(config, range(config.trials), True)
     return {
         key: np.stack([getattr(r.traces, key) for r in results], axis=1)
         for key in ("p", "q", "actions", "payoffs")

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specgame.capacity import empirical_effective_capacity
 from specgame.cli import (
     CSV_ROWS,
     FAIR_SHARE_NOTE,
     JSON_ITEMS,
     _reprs,
+    _running_aggregate,
     _write_csv,
     _write_json,
     _write_trace,
@@ -142,6 +144,48 @@ class TestLearn:
             )
         for name in ("probability.svg", "estimates.svg", "aggregate.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @staticmethod
+    def strict_config(tmp_path):
+        """Two fair-share users at theta 800, where exp(-theta r) underflows."""
+        return write_config(
+            tmp_path,
+            game={
+                "theta": 800.0,
+                "n_users": 2,
+                "contention": "fair_share",
+                "channels": [
+                    {"id": 1, "rates": [1.0, 2.0], "probs": [0.5, 0.5]},
+                    {"id": 2, "rates": [1.0, 3.0], "probs": [0.5, 0.5]},
+                ],
+            },
+        )
+
+    @pytest.mark.parametrize("source", ["strict", "fig2"])
+    def test_running_aggregate_is_the_sum_of_prefix_capacities(self, tmp_path, source):
+        if source == "fig2":
+            sim = preset_config("fig2").sim
+        else:
+            sim = parse_config(self.strict_config(tmp_path)).sim
+        payoffs = simulator.run_trial(sim, 0).traces.payoffs
+        got = _running_aggregate(payoffs, sim.game.thetas)
+        want = [
+            sum(
+                empirical_effective_capacity(payoffs[:t, u], theta)
+                for u, theta in enumerate(sim.game.thetas)
+            )
+            for t in range(1, len(payoffs) + 1)
+        ]
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-9
+
+    def test_strict_aggregate_chart_keeps_every_slot(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["learn", "--config", str(self.strict_config(tmp_path)), "--plot", "--out", str(out)]
+        assert main(argv) == 0
+        svg = (out / "aggregate.svg").read_text(encoding="utf-8")
+        points = svg.split('<polyline points="')[1].split('"')[0].split()
+        assert len(points) == 200
 
 
 def trace_rows(traces):

@@ -79,6 +79,22 @@ class TestRejection:
         with pytest.raises(ConfigError, match="'iterationz'"):
             config_from_dict(data)
 
+    def test_collect_traces_is_an_unknown_key(self):
+        # tracing is a property of the call: run_trial traces, run_experiment does not
+        with pytest.raises(ConfigError, match="unknown config key 'collect_traces'"):
+            config_from_dict({**minimal(), "collect_traces": True})
+
+    def test_sla_on_an_all_zero_rate_network_needs_a_rate_cap(self):
+        data = minimal()
+        data["game"]["channels"] = [
+            {"id": m, "rates": [0.0], "probs": [1.0]} for m in (1, 2)
+        ]
+        # a cap of 0 would divide every payoff by 0
+        with pytest.raises(ConfigError, match="sla_rate_cap must be set"):
+            config_from_dict({**data, "algorithm": "sla"})
+        assert config_from_dict({**data, "algorithm": "sla", "sla_rate_cap": 1.0})
+        assert config_from_dict({**data, "algorithm": "learn"})
+
     def test_unknown_game_key(self):
         data = minimal()
         data["game"]["snr"] = 5
@@ -258,7 +274,6 @@ NON_DEFAULT = {
     "sla_rate_cap": 4.0,
     "random_per_slot": True,
     "window": 100,
-    "collect_traces": True,
     "out_dir": "elsewhere",
     "plot": True,
     "preset": "custom",

@@ -130,14 +130,13 @@ def small_configs(draw):
         epsilon=draw(st.sampled_from([0.01, 0.2])),
         sla_gain=draw(st.sampled_from([0.08, 0.5])),
         random_per_slot=draw(st.booleans()),
-        collect_traces=True,
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_configs())
 def test_engine_matches_scalar_reference(config):
-    for got in run_experiment(config).results:
+    for got in simulator._run_block(config, range(config.trials), True):
         want = reference_trial(config, got.trial)
         assert got.profile == want["profile"]
         assert got.conv_slot == want["conv_slot"]
@@ -158,10 +157,8 @@ def test_fig2_sized_trial_matches_scalar_reference():
         ),
         contention=Contention.SLOT_WINNER,
     )
-    config = SimConfig(
-        game=game, iterations=600, trials=2, base_seed=77, lam=0.3, collect_traces=True
-    )
-    for got in run_experiment(config).results:
+    config = SimConfig(game=game, iterations=600, trials=2, base_seed=77, lam=0.3)
+    for got in simulator._run_block(config, range(config.trials), True):
         want = reference_trial(config, got.trial)
         assert got.profile == want["profile"]
         assert got.conv_slot == want["conv_slot"]

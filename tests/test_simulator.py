@@ -357,7 +357,7 @@ class TestRunTrial:
         assert r.agg_ec_empirical == pytest.approx(sum(r.ec_empirical), abs=1e-9)
 
     def test_empirical_ec_matches_trace_payoffs(self):
-        cfg = SimConfig(game=TWIN, iterations=400, base_seed=8, collect_traces=True)
+        cfg = SimConfig(game=TWIN, iterations=400, base_seed=8)
         r = run_trial(cfg, 0)
         burn_in = min(r.conv_slot, 399) if r.conv_slot is not None else 200
         for u in range(2):
@@ -367,15 +367,13 @@ class TestRunTrial:
             assert r.ec_empirical[u] == pytest.approx(want, abs=1e-12)
 
     def test_window_controls_the_estimate(self):
-        cfg = SimConfig(
-            game=TWIN, iterations=400, base_seed=8, window=100, collect_traces=True
-        )
+        cfg = SimConfig(game=TWIN, iterations=400, base_seed=8, window=100)
         r = run_trial(cfg, 0)
         want = empirical_effective_capacity(r.traces.payoffs[300:, 0], 0.01)
         assert r.ec_empirical[0] == pytest.approx(want, abs=1e-12)
 
     def test_trace_shapes(self):
-        cfg = SimConfig(game=TWIN, iterations=50, collect_traces=True)
+        cfg = SimConfig(game=TWIN, iterations=50)
         r = run_trial(cfg, 0)
         assert r.traces.p.shape == (50, 2, 2)
         assert r.traces.q.shape == (50, 2, 2)
@@ -383,9 +381,7 @@ class TestRunTrial:
         assert r.traces.payoffs.shape == (50, 2)
 
     def test_random_baseline_profile_is_frozen(self):
-        cfg = SimConfig(
-            game=TWIN, iterations=50, algorithm="random", collect_traces=True
-        )
+        cfg = SimConfig(game=TWIN, iterations=50, algorithm="random")
         r = run_trial(cfg, 0)
         assert r.conv_slot == 0
         assert (r.traces.actions == r.traces.actions[0]).all()
@@ -397,7 +393,6 @@ class TestRunTrial:
             iterations=100,
             algorithm="random",
             random_per_slot=True,
-            collect_traces=True,
         )
         r = run_trial(cfg, 0)
         assert r.conv_slot is None
@@ -460,9 +455,9 @@ class TestRunExperiment:
             lam=0.3,
             algorithm=algorithm,
             random_per_slot=per_slot,
-            collect_traces=True,
         )
         default = run_experiment(cfg)
+        default_traced = simulator._run_block(cfg, range(cfg.trials), True)
         blocks = []
         run_block = simulator._run_block
         monkeypatch.setattr(
@@ -470,19 +465,39 @@ class TestRunExperiment:
             "_run_block",
             lambda config, trials: blocks.append(len(trials)) or run_block(config, trials),
         )
-        monkeypatch.setattr(
-            simulator, "BLOCK_BYTES", block_trials * simulator._trial_bytes(cfg)
-        )
+        # a block of untraced trials holds their [slots, N] payoff logs
+        monkeypatch.setattr(simulator, "BLOCK_BYTES", block_trials * 8 * 2 * 150)
         monkeypatch.setattr(simulator, "CHUNK_SLOTS", chunk_slots)
         got = run_experiment(cfg)
         assert blocks == ([1] * 8 if block_trials == 1 else [3, 3, 2])
-        assert replace(got, results=()) == replace(default, results=())
-        assert len(got.results) == len(default.results)
-        for a, b in zip(got.results, default.results):
-            # traces compare by identity, so compare them field by field
-            assert replace(a, traces=None) == replace(b, traces=None)
+        assert got == default
+        traced = run_block(cfg, range(cfg.trials), True)
+        assert traced == default_traced == list(default.results)
+        for a, b in zip(traced, default_traced):
             for field in ("p", "q", "actions", "payoffs"):
                 assert np.array_equal(getattr(a.traces, field), getattr(b.traces, field))
+
+    @pytest.mark.parametrize(
+        "algorithm, per_slot",
+        [("learn", False), ("sla", False), ("random", False), ("random", True)],
+    )
+    def test_a_trial_traces_alike_alone_and_in_a_block(self, algorithm, per_slot):
+        cfg = SimConfig(
+            game=replace(TWIN, thetas=(0.01, 0.5)),
+            iterations=150,
+            base_seed=21,
+            lam=0.3,
+            algorithm=algorithm,
+            random_per_slot=per_slot,
+        )
+        block = simulator._run_block(cfg, range(5), True)
+        for i in range(5):
+            alone = run_trial(cfg, i)
+            assert alone == block[i]
+            for field in ("p", "q", "actions", "payoffs"):
+                a, b = getattr(alone.traces, field), getattr(block[i].traces, field)
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), field
 
     def test_summary_permutation_invariant(self):
         cfg = SimConfig(game=TWIN, iterations=100, trials=6, base_seed=3)
