@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from specgame.capacity import (
-    RateDistribution, approx_utility, check_exponents, effective_capacity
+    RateDistribution, _log_mgf_neg, approx_utility, check_exponents, effective_capacity,
+    log_sum_exp,
 )
 from specgame.channels import ChannelSpec
 
@@ -201,9 +202,11 @@ def _sum_columns(values: np.ndarray) -> np.ndarray:
     return total
 
 
-def _phi(game: GameSpec, counts: Sequence[int], theta: float) -> float:
-    g = _exp_term_table(game, theta, max(counts))
-    return float(sum(g[mi, c] for mi, c in enumerate(counts)))
+def _log_phi(game: GameSpec, counts: Sequence[int], theta: float) -> float:
+    """log phi of an occupancy state, in log space as effective capacity is."""
+    pairs = zip(game.channels, counts)
+    x = [_log_mgf_neg(ch.law, theta / l) for ch, c in pairs for l in range(1, c + 1)]
+    return log_sum_exp(np.array(x))
 
 
 def _require_homogeneous(game: GameSpec) -> float:
@@ -224,14 +227,15 @@ def ordinal_potential(game: GameSpec, profile: Sequence[int]) -> float:
     """
     theta = _require_homogeneous(game)
     prof, counts = _occupancy(game, profile)
-    return -math.log(_phi(game, counts, theta)) / theta
+    return float(_state_potentials(game, theta, np.array([counts]))[0])
 
 
 def surrogate_potential(game: GameSpec, profile: Sequence[int]) -> float:
     """Exact potential (1 - phi) / theta of the surrogate-payoff game."""
     theta = _require_homogeneous(game)
     prof, counts = _occupancy(game, profile)
-    return (1.0 - _phi(game, counts, theta)) / theta
+    g = _exp_term_table(game, theta, max(counts))
+    return (1.0 - float(sum(g[mi, c] for mi, c in enumerate(counts)))) / theta
 
 
 # --- pure-strategy equilibrium tooling -------------------------------------
@@ -496,11 +500,14 @@ def enumerate_nash(
 
 
 def _state_potentials(game: GameSpec, theta: float, states: np.ndarray) -> np.ndarray:
-    """ordinal_potential of every occupancy state [S, M], with its arithmetic:
-    phi added in channel order, then math.log state by state."""
+    """ordinal_potential of every occupancy state [S, M]: phi added in
+    channel order, then math.log state by state, or, where phi underflows to
+    0, log phi in log space."""
     M = game.n_channels
     phi = _sum_columns(_exp_term_table(game, theta, game.n_users)[np.arange(M), states])
-    return -np.array([math.log(v) for v in phi.tolist()]) / theta
+    phis = enumerate(phi.tolist())
+    logs = [math.log(v) if v > 0.0 else _log_phi(game, states[i], theta) for i, v in phis]
+    return -np.array(logs) / theta
 
 
 def potential_maximizer(game: GameSpec) -> ActionProfile:

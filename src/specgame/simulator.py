@@ -26,10 +26,17 @@ states with them. A policy that learns steps through the chunk slot by
 slot, since each slot's actions depend on the last update. Its slot step
 allocates nothing: sampling and contention write into one workspace of
 buffers made once per block (`_Work`), and the update into buffers the
-policy makes on its first call. One that does not learn (`learns` false,
-the random baseline) never reads payoffs, so its `play` acts, contends and
-logs the whole chunk as [k, T, N] arrays. The held baseline's takers and
-ranks never change, so it only gathers each user's rate and tie-break.
+policy makes on its first call. Its ufuncs take same-shape, same-dtype
+operands, numpy's fast path at these sizes, for the same bits: each slot's
+uniforms and rates are tiled once per chunk, per-user constants once per
+block; the bool one-hot is copied to float to count takers and mask the
+updates (a step times 0 added to q leaves q, as `where=` does); and p is
+copied after each update into a per-chunk history, off which the traced p
+and the convergence test (a maximum, exact in any order) are read.
+One that does not learn (`learns` false, the random baseline) never reads
+payoffs, so its `play` acts, contends and logs the whole chunk as
+[k, T, N] arrays. The held baseline's takers and ranks never change, so it
+only gathers each user's rate and tie-break.
 """
 
 from __future__ import annotations
@@ -213,10 +220,13 @@ class _Work:
     `shape` is the shape of the action uniforms the step reads: [T, N] for
     one slot of a block, [k, T, N] for a chunk of k slots. Every buffer is
     channel-major, [M, *shape], or [M, *shape[:-1], 1] for one value per
-    channel. `_sample` writes the one-hot `chosen`, and `_contend` reads it.
+    channel. `_sample` writes the one-hot `chosen` and its copy `hot` in
+    the type `counts`, and `_contend` reads them: float for a learner, whose
+    update reads `hot` too, or the smallest integer type that holds N, which
+    keeps chunk-sized buffers small; a one-byte `hot` is `chosen` itself.
     """
 
-    def __init__(self, m: int, shape: tuple[int, ...]) -> None:
+    def __init__(self, m: int, shape: tuple[int, ...], counts) -> None:
         full, per_channel = (m,) + shape, (m,) + shape[:-1] + (1,)
         self.cum = np.empty((m - 1,) + shape)  # running sums of p
         # whether a running sum is above u; row 0 is the empty sum
@@ -224,10 +234,9 @@ class _Work:
         above[-1] = True
         self.above_sums, self.above_hi, self.above_lo = above[1:-1], above[1:], above[:-1]
         self.chosen = np.empty(full, dtype=bool)
-        self.chosen_u8 = self.chosen.view(np.uint8)
-        # takers so far in user order, in the smallest integer type that
-        # holds N, which keeps chunk-sized buffers small
-        self.taken = np.empty(full, dtype=np.min_scalar_type(shape[-1]))
+        one_byte = np.dtype(counts).itemsize == 1
+        self.hot = self.chosen.view(counts) if one_byte else np.empty(full, dtype=counts)
+        self.taken = np.empty(full, dtype=counts)  # takers so far in user order
         self.counts = self.taken[..., -1:]
         self.draw = np.empty(per_channel)  # slot winner: u * c
         # whether the takers so far are more than u * c; column 0 is no user
@@ -242,14 +251,14 @@ def _contend(model: Contention, work: _Work, rates, tiebreak, out) -> None:
     """resolve_contention for a block of trials, over any leading shape.
 
     Reads the channel-major one-hot [M, ..., N] of the users' actions from
-    `work.chosen`. rates are channel-major and broadcast over users,
-    [M, ..., N], and tiebreak is [M, ..., 1]. Writes the [..., N] payoffs to
-    `out`: per user, the sum over channels of what it gets on each. It gets
-    something on one channel at most, so the sum adds one value to the
-    reduction's zero, which is exact.
+    `work`. rates are channel-major, [M, ..., N], one value per channel
+    repeated over users, and tiebreak is [M, ..., 1]. Writes the [..., N]
+    payoffs to `out`: per user, the sum over channels of what it gets on
+    each. It gets something on one channel at most, so the sum adds one
+    value to the reduction's zero, which is exact.
     """
     taken, counts = work.taken, work.counts
-    np.add.accumulate(work.chosen_u8, -1, taken.dtype, taken)
+    np.add.accumulate(work.hot, -1, None, taken)
     if model is Contention.FAIR_SHARE:
         # an empty channel divides by 1 instead of 0; no user reads it, and
         # fair share reads nothing else of `taken`
@@ -269,7 +278,8 @@ def _contend(model: Contention, work: _Work, rates, tiebreak, out) -> None:
 
 def _sample(p: np.ndarray, u: np.ndarray, work: _Work) -> np.ndarray:
     """Inverse-CDF draws from the channel-major strategies p [M, ...] at
-    uniforms u [...], as their channel-major one-hot, `work.chosen`.
+    uniforms u [...] or [M - 1, ...], as their channel-major one-hot in
+    `work`; returns its copy `work.hot`.
 
     The arithmetic of learning.sample_profile: running sums in channel
     order, the last one taken as 1, and the first sum above u
@@ -278,7 +288,9 @@ def _sample(p: np.ndarray, u: np.ndarray, work: _Work) -> np.ndarray:
     """
     np.add.accumulate(p[:-1], 0, None, work.cum)
     np.greater(work.cum, u, out=work.above_sums)
-    return np.greater(work.above_hi, work.above_lo, out=work.chosen)
+    np.greater(work.above_hi, work.above_lo, out=work.chosen)
+    np.copyto(work.hot, work.chosen)
+    return work.hot
 
 
 @dataclass
@@ -303,11 +315,12 @@ class Policy:
 
     A policy that learns (`learns` true) acts by `_sample` on its
     strategies, and `update(state, chosen, payoffs)` takes the channel-major
-    one-hot [M, T, N] of the chosen channels and the [T, N] payoffs. It works
-    on whole [T, N] slabs: per-user values broadcast over the leading channel
-    axis, and sums over channels add the slabs in channel order, the order of
-    numpy's row sum up to seven channels. Its buffers are allocated on the
-    first update. The engine checks its state once per chunk.
+    float one-hot [M, T, N] of the chosen channels and the [T, N] payoffs.
+    It works on whole [T, N] slabs: per-user values broadcast over the
+    leading channel axis, and sums over channels add the slabs in channel
+    order, the order of numpy's row sum up to seven channels. It makes its
+    buffers and tiled constants on the first update. The engine checks its
+    state once per chunk.
     """
 
     learns = True  # whether it updates on payoffs; the convergence slot is read off p
@@ -325,23 +338,24 @@ class LearnPolicy(Policy):
 
     def __init__(self, config: SimConfig) -> None:
         self.schedule = StepSchedule(eta=config.eta, lam=config.lam)
-        self.log_gain = math.log1p(config.eta)
+        self.log_gain = np.asarray(math.log1p(config.eta))
         self.thetas = np.asarray(config.game.thetas, dtype=float)
-        self.neg_thetas = -self.thetas
-        self.w = self.row = None
+        self.w = self.row = self.neg_thetas = None
 
     def update(self, state, chosen, payoffs):
         if self.w is None:
             self.w, self.row = np.empty_like(state.p), np.empty_like(payoffs)
+            self.neg_thetas = np.broadcast_to(-self.thetas, payoffs.shape).copy()
         w, row, p, q = self.w, self.row, state.p, state.q
         # payoff_transform, less its per-call check of the exponents
         np.multiply(self.neg_thetas, payoffs, out=row)
         np.expm1(row, out=row)
         np.divide(row, self.neg_thetas, out=row)
-        # the chosen estimates move by lambda towards it
+        # the chosen estimates move by lambda towards it (q + 0 * step is q)
         np.subtract(row, q, out=w)
         np.multiply(w, self.schedule.lambda_at(state.slot), out=w)
-        np.add(w, q, out=q, where=chosen)
+        np.multiply(w, chosen, out=w)
+        np.add(w, q, out=q)
         np.multiply(q, self.log_gain, out=w)
         np.maximum.reduce(w, 0, None, row)
         np.subtract(w, row, out=w)
@@ -359,8 +373,9 @@ class SLAPolicy(Policy):
     """Linear reward-inaction: the block form of learning.sla_update."""
 
     def __init__(self, config: SimConfig) -> None:
-        self.b = config.sla_gain
-        self.r_max = config.rate_cap()
+        self.b = np.asarray(config.sla_gain)
+        self.r_max = np.asarray(config.rate_cap())
+        self.one = np.asarray(1.0)
         self.w = self.row = None
 
     def update(self, state, chosen, payoffs):
@@ -369,7 +384,7 @@ class SLAPolicy(Policy):
         w, row, p = self.w, self.row, state.p
         # payoffs are >= 0, so only the upper clip of sla_update can act
         np.divide(payoffs, self.r_max, out=row)
-        np.minimum(row, 1.0, out=row)
+        np.minimum(row, self.one, out=row)
         np.multiply(row, self.b, out=row)
         np.subtract(chosen, p, out=w)
         np.multiply(w, row, out=w)
@@ -402,7 +417,7 @@ class RandomPolicy(Policy):
         """
         if self.per_slot:
             if self.work is None or self.work.chosen.shape[1:] != u.shape:
-                self.work = _Work(len(p), u.shape)
+                self.work = _Work(len(p), u.shape, np.min_scalar_type(u.shape[-1]))
             chosen = _sample(np.broadcast_to(p[:, None], (len(p),) + u.shape), u, self.work)
             rates = np.broadcast_to(rates.transpose(2, 0, 1)[..., None], self.work.chosen.shape)
             _contend(model, self.work, rates, tiebreak.transpose(2, 0, 1)[..., None], out)
@@ -424,7 +439,7 @@ class RandomPolicy(Policy):
     def _hold(self, p, u):
         """Draw the held profile at the first slot's uniforms u [T, N]; its
         takers per channel and each user's rank among them never change."""
-        held = _sample(p, u, _Work(len(p), u.shape)).argmax(axis=0)
+        held = _sample(p, u, _Work(len(p), u.shape, np.uint8)).argmax(axis=0)
         same = held[..., :, None] == held[..., None, :]  # [T, N, N]: users on one channel
         self.count = same.sum(axis=-1, dtype=float)  # takers of each user's channel
         self.rank = np.tril(same, -1).sum(axis=-1, dtype=float)  # takers before it
@@ -505,7 +520,6 @@ def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[T
     rngs = [trial_rng(config.base_seed, i) for i in trials]
     policy = POLICIES[config.algorithm](config)
     state = BlockState(p=np.full((m, size, n), 1.0 / m), q=np.zeros((m, size, n)))
-    work = _Work(m, (size, n))
     sample_rates = RateSampler(game.channels)
     # per trial, the chunk's uniforms as one contiguous row
     draws = np.empty((size, CHUNK_SLOTS, n + 2 * m))
@@ -516,7 +530,12 @@ def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[T
         trace_q = np.empty((slots, size, n, m))
         trace_a = np.empty((slots, size, n), dtype=int)
     conv = np.full(size, -1)  # -1: not converged yet
-    top = np.empty((CHUNK_SLOTS, size, n))  # per slot: max_m p
+    if policy.learns:
+        work = _Work(m, (size, n), float)
+        # per slot: its uniforms and rates tiled to channel-major slabs, and p
+        slot_u = np.empty((CHUNK_SLOTS, m - 1, size, n))
+        slot_rates = np.empty((CHUNK_SLOTS, m, size, n))
+        history = np.empty((CHUNK_SLOTS, m, size, n))
 
     for start in range(0, slots, CHUNK_SLOTS):
         k = min(CHUNK_SLOTS, slots - start)
@@ -539,28 +558,22 @@ def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[T
                 a_at[:] = actions + 1  # 1-based channel ids
             continue
         # a learner steps slot by slot, since each slot's actions depend on
-        # the last update; each slot's channel-major views are split off
-        # once per chunk: rates [M, T, N] broadcast over users, tie-breaks
-        # [M, T, 1]
-        rates = rates.transpose(0, 2, 1)[..., None]
-        slot_views = zip(
-            act_u,
-            np.broadcast_to(rates, rates.shape[:-1] + (n,)),
-            tiebreak.transpose(0, 2, 1)[..., None],
-            payoffs_at,
-            top,
-        )
-        for s, (u, slot_rates, slot_ties, payoffs, best) in enumerate(slot_views):
+        # the last update
+        np.copyto(slot_u[:k], act_u[:, None])
+        np.copyto(slot_rates[:k], rates.transpose(0, 2, 1)[..., None])
+        steps = zip(payoffs_at, slot_u, slot_rates, tiebreak.transpose(0, 2, 1)[..., None], history)
+        for s, (payoffs, u, rates_now, ties_now, p_now) in enumerate(steps):
             chosen = _sample(state.p, u, work)
-            _contend(model, work, slot_rates, slot_ties, payoffs)
+            _contend(model, work, rates_now, ties_now, payoffs)
             policy.update(state, chosen, payoffs)
             state.slot += 1
-            np.maximum.reduce(state.p, 0, None, best)
+            p_now[...] = state.p  # a copy: a policy may rebind state.p
             if traced:
-                p_at[s] = state.p.transpose(1, 2, 0)
                 q_at[s] = state.q.transpose(1, 2, 0)
                 chosen.argmax(axis=0, out=a_at[s])
+        chunk_p = history[:k]
         if traced:
+            p_at[:] = chunk_p.transpose(0, 2, 3, 1)
             a_at += 1  # 1-based channel ids
         try:
             policy.check(state)
@@ -569,8 +582,8 @@ def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[T
                 f"trials {trials[0]}..{trials[-1]} (base seed {config.base_seed}), "
                 f"slot {start + k}: {err}"
             ) from err
-        # every user concentrated: learning.is_converged
-        hit = top[:k].min(axis=-1) >= 1.0 - config.epsilon
+        # every user concentrated: learning.is_converged, on each slot's p
+        hit = np.maximum.reduce(chunk_p, 1).min(axis=-1) >= 1.0 - config.epsilon
         fresh = (conv < 0) & hit.any(axis=0)
         conv[fresh] = start + hit.argmax(axis=0)[fresh] + 1
 

@@ -34,7 +34,7 @@ from specgame.game import (
     verify_potentials,
 )
 from specgame.learning import StepSchedule, init_state, update_estimates, update_probabilities
-from specgame.simulator import SimConfig, run_experiment, run_trial, sweep
+from specgame.simulator import SimConfig, run_experiment, sweep
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -239,7 +239,7 @@ def test_criterion_08_learning_reaches_equilibrium():
     for i in range(50):
         g = random_game(rng, n_users=4, n_channels=3, theta_choices=(0.01, 0.1, 1.0))
         cfg = SimConfig(game=g, iterations=5000, trials=1, base_seed=1000 + i, lam=0.3)
-        result = run_trial(cfg, 0)
+        result = run_experiment(cfg).results[0]  # run_trial's result, untraced
         hits += is_nash(g, result.profile, payoff="surrogate").is_nash
     verdict(
         8,

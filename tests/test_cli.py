@@ -48,6 +48,22 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return path
 
 
+def strict_config(tmp_path):
+    """Two fair-share users at theta 800, where exp(-theta r) underflows."""
+    return write_config(
+        tmp_path,
+        game={
+            "theta": 800.0,
+            "n_users": 2,
+            "contention": "fair_share",
+            "channels": [
+                {"id": 1, "rates": [1.0, 2.0], "probs": [0.5, 0.5]},
+                {"id": 2, "rates": [1.0, 3.0], "probs": [0.5, 0.5]},
+            ],
+        },
+    )
+
+
 def read_rows(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
@@ -113,6 +129,16 @@ class TestAnalyze:
         assert analysis["potential_check"]["opg_sign_disagreements"] is None
 
 
+    def test_underflowing_phi_still_analyzes(self, tmp_path):
+        # phi of the state with one user per channel is exactly 0 here
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(strict_config(tmp_path)), "--out", str(out)]) == 0
+        analysis = json.loads((out / "analysis.json").read_text())
+        assert analysis["potential_maximizer"] == [1, 2]
+        assert analysis["potential_check"]["opg_sign_disagreements"] == 0
+        assert analysis["potential_check"]["opg_zero_mismatches"] == 0
+
+
 class TestLearn:
     def test_artifacts(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -145,28 +171,12 @@ class TestLearn:
         for name in ("probability.svg", "estimates.svg", "aggregate.svg"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    @staticmethod
-    def strict_config(tmp_path):
-        """Two fair-share users at theta 800, where exp(-theta r) underflows."""
-        return write_config(
-            tmp_path,
-            game={
-                "theta": 800.0,
-                "n_users": 2,
-                "contention": "fair_share",
-                "channels": [
-                    {"id": 1, "rates": [1.0, 2.0], "probs": [0.5, 0.5]},
-                    {"id": 2, "rates": [1.0, 3.0], "probs": [0.5, 0.5]},
-                ],
-            },
-        )
-
     @pytest.mark.parametrize("source", ["strict", "fig2"])
     def test_running_aggregate_is_the_sum_of_prefix_capacities(self, tmp_path, source):
         if source == "fig2":
             sim = preset_config("fig2").sim
         else:
-            sim = parse_config(self.strict_config(tmp_path)).sim
+            sim = parse_config(strict_config(tmp_path)).sim
         payoffs = simulator.run_trial(sim, 0).traces.payoffs
         got = _running_aggregate(payoffs, sim.game.thetas)
         want = [
@@ -181,7 +191,7 @@ class TestLearn:
 
     def test_strict_aggregate_chart_keeps_every_slot(self, tmp_path):
         out = tmp_path / "out"
-        argv = ["learn", "--config", str(self.strict_config(tmp_path)), "--plot", "--out", str(out)]
+        argv = ["learn", "--config", str(strict_config(tmp_path)), "--plot", "--out", str(out)]
         assert main(argv) == 0
         svg = (out / "aggregate.svg").read_text(encoding="utf-8")
         points = svg.split('<polyline points="')[1].split('"')[0].split()

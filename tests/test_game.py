@@ -197,6 +197,39 @@ class TestPotentials:
         if abs(d_u) > 1e-12 or abs(d_phi) > 1e-12:
             assert math.copysign(1, d_u) == math.copysign(1, d_phi)
 
+    def test_underflowing_phi_gives_finite_potentials(self):
+        """At theta 800 the state with one user per channel has phi exactly
+        0; its potential comes from log space instead."""
+        g = GameSpec(
+            thetas=(800.0, 800.0),
+            channels=(
+                ChannelSpec(id=1, rates=(1.0, 2.0), probs=(0.5, 0.5)),
+                ChannelSpec(id=2, rates=(1.0, 3.0), probs=(0.5, 0.5)),
+            ),
+        )
+
+        def log_space(profile):
+            # -(1/theta) log phi from phi's terms p exp(-theta r / l)
+            x = [
+                math.log(p) - 800.0 * r / l
+                for ch, c in zip(g.channels, congestion_counts(profile, 2))
+                for l in range(1, c + 1)
+                for r, p in zip(ch.rates, ch.probs)
+            ]
+            top = max(x)
+            return -(top + math.log(math.fsum(math.exp(v - top) for v in x))) / 800.0
+
+        profiles = list(itertools.product((1, 2), repeat=2))
+        want = [log_space(prof) for prof in profiles]
+        for prof, value in zip(profiles, want):
+            got = ordinal_potential(g, prof)
+            assert math.isfinite(got)
+            assert abs(got - value) <= 1e-12
+        assert potential_maximizer(g) == profiles[int(np.argmax(want))]
+        report = verify_potentials(g)
+        assert report.opg_sign_disagreements == 0
+        assert report.opg_zero_mismatches == 0
+
     def test_anonymity(self):
         """Potentials depend on the congestion counts only."""
         rng = np.random.default_rng(11)

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import row_major_step
 from conftest import random_game
 from specgame.capacity import effective_capacity, empirical_effective_capacity
 from specgame.channels import ChannelSpec
@@ -169,15 +171,26 @@ class TestResolveContention:
 
 
 def contend(model, chosen, rates, tiebreak):
-    """simulator._contend on a fresh workspace holding the one-hot `chosen`,
-    with the channel-major [M, ...] rates and tiebreak laid out as it reads
-    them."""
-    work = simulator._Work(len(chosen), chosen.shape[1:])
-    work.chosen[...] = chosen
-    out = np.empty(chosen.shape[1:])
+    """simulator._contend on fresh workspaces holding the one-hot `chosen`
+    as `_sample` leaves it, with the channel-major [M, ...] rates and
+    tiebreak laid out as it reads them.
+
+    Runs it with the counts of a learner's slot (float) and of a chunk (the
+    smallest integer type that holds N), and returns the payoffs after
+    checking that both give the same bits.
+    """
+    shape = chosen.shape[1:]
     rates = np.broadcast_to(rates[..., None], chosen.shape)
-    simulator._contend(model, work, rates, tiebreak[..., None], out)
-    return out
+    got = []
+    for counts in (float, np.min_scalar_type(shape[-1])):
+        work = simulator._Work(len(chosen), shape, counts)
+        work.chosen[...] = chosen
+        work.hot[...] = chosen
+        out = np.empty(shape)
+        simulator._contend(model, work, rates, tiebreak[..., None], out)
+        got.append(out)
+    assert np.array_equal(got[0].view(np.int64), got[1].view(np.int64))
+    return got[0]
 
 
 class TestContendShapes:
@@ -262,6 +275,61 @@ class TestHeldRandomGather:
             by_channel = rates.transpose(2, 0, 1), tiebreak.transpose(2, 0, 1)
             want = contend(model, chosen, *by_channel)
             assert np.array_equal(bits(got), bits(want))
+
+
+class TestLearnerChunks:
+    """A learner keeps each slot's strategies in a per-chunk history and
+    reads its convergence slots and traced p off it once per chunk. No
+    output may show where the chunks end."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        algorithm=st.sampled_from(["learn", "sla"]),
+        contention=st.sampled_from(list(Contention)),
+        iterations=st.sampled_from([1, 63, 64, 65, 129]),
+        epsilon=st.sampled_from([0.01, 0.3, 0.6]),
+    )
+    def test_chunk_size_shows_in_no_output(
+        self, seed, algorithm, contention, iterations, epsilon
+    ):
+        rng = np.random.default_rng(seed)
+        game = random_game(rng, contention=contention)
+        # per-user exponents, so that a per-user constant tiled the wrong
+        # way would show
+        thetas = tuple(float(t) for t in rng.choice([0.01, 0.1, 1.0], game.n_users))
+        cfg = SimConfig(
+            game=replace(game, thetas=thetas),
+            iterations=iterations,
+            trials=3,
+            base_seed=seed,
+            algorithm=algorithm,
+            eta=2.0,
+            lam=0.3,
+            epsilon=epsilon,
+        )
+        runs = []
+        for chunk_slots in (1, 7, 64):
+            with mock.patch.object(simulator, "CHUNK_SLOTS", chunk_slots):
+                runs.append(simulator._run_block(cfg, range(cfg.trials), True))
+        oracle = row_major_step.run_block(cfg, range(cfg.trials))
+        for t, want in enumerate(runs[-1]):
+            p = want.traces.p
+            # learning.is_converged at every slot, from the traced p
+            hit = p.max(axis=-1).min(axis=-1) >= 1.0 - epsilon
+            assert want.conv_slot == (int(hit.argmax()) + 1 if hit.any() else None)
+            assert want.profile == tuple((p[-1].argmax(axis=-1) + 1).tolist())
+            for field in ("p", "q", "actions", "payoffs"):
+                assert np.array_equal(
+                    bits(getattr(want.traces, field)), bits(oracle[field][:, t])
+                ), field
+            for run in runs[:-1]:
+                got = run[t]
+                assert got == want
+                for field in ("p", "q", "actions", "payoffs"):
+                    a, b = getattr(got.traces, field), getattr(want.traces, field)
+                    assert a.dtype == b.dtype
+                    assert np.array_equal(bits(a), bits(b)), field
 
 
 class TestBlockScoring:
