@@ -10,7 +10,12 @@ the medians and the number of pairs the change tree wins:
 
     python3 scripts/bench_pairs.py --base OLD_TREE --change NEW_TREE \\
         --path /tmp/bench-tree --workloads experiment --pairs 10 \\
-        --first-seed 2001 --seconds 30
+        --first-seed 2001 --seconds 30 --record BENCH.json
+
+`--record FILE` also writes those figures as JSON: the CPU count, each
+tree's git commit (null outside a git checkout, with `dirty` true when its
+work tree differs from the commit), and per workload and metric each
+tree's median, quartiles and wins.
 
 Each tree needs its `perfbench/` and `src/`; the path is removed and
 rewritten before every run, and removed at the end.
@@ -47,28 +52,62 @@ def run_once(tree: Path, path: Path, workload: str, seed: int, seconds: float) -
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def spread(values: list[float]) -> str:
+def commit(tree: Path) -> dict:
+    """The git commit a tree is at, and whether its work tree differs."""
+    git = ["git", "-C", str(tree)]
+    head = subprocess.run(
+        [*git, "rev-parse", "--show-toplevel", "HEAD"], capture_output=True, text=True
+    )
+    top, _, sha = head.stdout.strip().partition("\n")
+    if head.returncode != 0 or Path(top).resolve() != tree:
+        return {"commit": None, "dirty": None}
+    status = subprocess.run([*git, "status", "--porcelain"], capture_output=True, text=True)
+    return {"commit": sha, "dirty": bool(status.stdout.strip())}
+
+
+def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return f"{median:.4g} [{q1:.4g}-{q3:.4g}]"
+    return {"median": median, "q1": q1, "q3": q3}
 
 
-def report(workload: str, runs: dict[str, list[dict]], metrics: list[dict]) -> None:
-    print(f"{workload}: {len(runs['change'])} pairs")
+def summary(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
+    """Per tree, its run counts and, per metric, its spread and wins."""
+    out = {"pairs": len(runs["change"]), "trees": {}, "metrics": {}}
     for side, results in runs.items():
-        wrong = sum(not r["correct"] for r in results)
-        failed = sum(r["failed"] for r in results)
-        attempted = sum(r["attempted"] for r in results)
-        print(f"  {side}: {wrong} incorrect runs, {failed} of {attempted} operations failed")
+        out["trees"][side] = {
+            "incorrect_runs": sum(not r["correct"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "attempted": sum(r["attempted"] for r in results),
+        }
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         base = [r["metrics"][name]["value"] for r in runs["base"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         ties = sum(c == b for b, c in zip(base, change))
-        shift = statistics.median(change) / statistics.median(base) - 1.0
+        out["metrics"][name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "base": {**spread(base), "wins": len(base) - wins - ties},
+            "change": {**spread(change), "wins": wins},
+            "ties": ties,
+            "shift": statistics.median(change) / statistics.median(base) - 1.0,
+        }
+    return out
+
+
+def report(workload: str, result: dict) -> None:
+    print(f"{workload}: {result['pairs']} pairs")
+    for side, counts in result["trees"].items():
         print(
-            f"  {name}: {spread(base)} -> {spread(change)} "
-            f"({shift:+.1%}), change better in {wins}/{len(base)}, {ties} ties"
+            f"  {side}: {counts['incorrect_runs']} incorrect runs, "
+            f"{counts['failed']} of {counts['attempted']} operations failed"
+        )
+    fmt = lambda s: f"{s['median']:.4g} [{s['q1']:.4g}-{s['q3']:.4g}]"
+    for name, m in result["metrics"].items():
+        print(
+            f"  {name}: {fmt(m['base'])} -> {fmt(m['change'])} ({m['shift']:+.1%}), "
+            f"change better in {m['change']['wins']}/{result['pairs']}, {m['ties']} ties"
         )
 
 
@@ -81,6 +120,7 @@ def main() -> None:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--record", type=Path, help="also write the figures to this JSON file")
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs must be >= 2, for quartiles")
@@ -89,6 +129,13 @@ def main() -> None:
     if any(path == tree or tree in path.parents for tree in trees.values()):
         ap.error("--path must lie outside both trees: it is removed before every run")
     metrics = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    record = {
+        "cpu_count": os.cpu_count(),
+        "seconds": args.seconds,
+        "first_seed": args.first_seed,
+        "trees": {side: commit(tree) for side, tree in trees.items()},
+        "workloads": {},
+    }
     try:
         for workload in args.workloads:
             runs = {"base": [], "change": []}
@@ -99,7 +146,10 @@ def main() -> None:
                     runs[side].append(result)
                     values = {k: v["value"] for k, v in result["metrics"].items()}
                     print(f"{workload} seed {seed} {side}: {values}", file=sys.stderr, flush=True)
-            report(workload, runs, metrics)
+            record["workloads"][workload] = summary(runs, metrics)
+            report(workload, record["workloads"][workload])
+            if args.record:
+                args.record.write_text(json.dumps(record, indent=2) + "\n")
     finally:
         shutil.rmtree(path, ignore_errors=True)
 

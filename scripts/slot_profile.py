@@ -8,9 +8,11 @@ Each config runs as one block of trials, so the engine takes one slot step
 per slot.
 
 First it times whole `run_experiment` calls as they are. Then it wraps
-`simulator._sample`, `simulator._contend` and the policy's `update` from
-outside the package, runs again, and sums the time spent inside each
-stage, less the cost of the wrapper's own two clock reads. The rest of the
+the builders of the slot step from outside the package (`simulator._sampler`,
+`simulator._contender` and the policy's `bind`), so that the sampling,
+contention and update functions they bind are timed, runs again, and sums
+the time spent inside each stage, less the cost of the wrapper's own two
+clock reads. The rest of the
 loop (chunk draws, channel states, convergence and checks, scoring) is the
 plain run's time less the three stages. Prints one JSON line, in us per
 slot step:
@@ -60,27 +62,32 @@ def configs(seed: int) -> dict:
 
 
 class Stages:
-    """Wraps the engine's stage functions and sums the time spent in each."""
+    """Wraps the builders of the engine's slot step, so that each stage
+    function they return sums the time spent in it."""
 
     def __init__(self, policy: type) -> None:
         self.seconds = {"sample": 0.0, "contend": 0.0, "update": 0.0}
         self.targets = [
-            (simulator, "_sample", "sample"),
-            (simulator, "_contend", "contend"),
-            (policy, "update", "update"),
+            (simulator, "_sampler", "sample"),
+            (simulator, "_contender", "contend"),
+            (policy, "bind", "update"),
         ]
         self.saved = []
 
-    def _wrap(self, fn, stage):
+    def _wrap(self, build, stage):
         seconds, clock = self.seconds, time.perf_counter
 
-        def timed(*args):
-            start = clock()
-            out = fn(*args)
-            seconds[stage] += clock() - start
-            return out
+        def timed_build(*args):
+            fn = build(*args)
 
-        return timed
+            def timed(*args):
+                start = clock()
+                fn(*args)
+                seconds[stage] += clock() - start
+
+            return timed
+
+        return timed_build
 
     def __enter__(self):
         for owner, name, stage in self.targets:
@@ -119,6 +126,10 @@ def profile(config, repeats: int) -> dict:
             stages[stage].append(seconds - steps * pair)
     us = {stage: 1e6 * min(v) / steps for stage, v in stages.items()}
     total = 1e6 * min(plain) / steps
+    # a wrapper that misses what runs per slot reads nothing, and one that
+    # times more than the slot step reads more than the plain run
+    if not 0.0 < min(us.values()) <= sum(us.values()) < total:
+        raise SystemExit(f"{config.algorithm}: stages {us} do not fit in {total:.3f} us a slot")
     us["rest"] = total - sum(us.values())
     us["total"] = total
     return {name: round(value, 3) for name, value in us.items()}

@@ -41,30 +41,30 @@ class StepSchedule:
         if self.lam is not None and not 0.0 < self.lam <= 1.0:
             raise ValueError(f"constant lambda must be in (0, 1], got {self.lam!r}")
 
-    def lambda_at(self, slot: int) -> float:
+    def lambda_at(self, slot):  # a slot index, or an integer array of them
         return 1.0 / (slot + 1) if self.lam is None else self.lam
 
 
-def check_simplex_rows(p: np.ndarray) -> None:
-    """Raise ValueError unless every row of p (its last axis) is a distribution."""
-    if not np.all(np.isfinite(p)) or np.any(p < 0.0):
+def check_simplex_rows(p: np.ndarray, axis: int = -1) -> None:
+    """Raise ValueError unless every row of p along `axis` is a distribution."""
+    if not (p.min() >= 0.0 and p.max() < math.inf):  # NaN fails both
         raise ValueError("strategy rows must be finite and non-negative")
-    err = np.abs(p.sum(axis=-1) - 1.0).max()
+    err = np.abs(np.add.reduce(p, axis) - 1.0).max()
     if err > SIMPLEX_TOL:
         raise ValueError(f"strategy rows drift off the simplex by {err:.3e}")
 
 
-def check_estimates(q: np.ndarray, thetas: Sequence[float]) -> None:
+def check_estimates(q: np.ndarray, limits: np.ndarray) -> None:
     """Raise ValueError unless every estimate lies in [0, 1/theta] of its user.
 
-    q is [..., N, M] with users on its second-to-last axis. The transformed
-    payoff (1 - exp(-theta r)) / theta never leaves that interval, so
-    neither can a convex combination of such payoffs.
+    `limits` holds 1/theta + Q_BOUND_SLACK of each user, laid out to
+    broadcast against q, so each estimate meets its own user's limit. The
+    transformed payoff (1 - exp(-theta r)) / theta never leaves that
+    interval, so neither can a convex combination of such payoffs.
     """
-    if not np.all(np.isfinite(q)) or np.any(q < 0.0):
+    if not (q.min() >= 0.0 and q.max() < math.inf):
         raise ValueError("estimates must be finite and non-negative")
-    bound = 1.0 / np.asarray(thetas, dtype=float)[:, None]
-    if np.any(q > bound + Q_BOUND_SLACK):
+    if (q > limits).any():
         raise ValueError("estimate above 1/theta")
 
 
@@ -80,7 +80,7 @@ class LearnerState:
         if self.p.shape != self.q.shape or self.p.ndim != 2:
             raise ValueError("p and q must both be N x M")
         check_simplex_rows(self.p)
-        if not np.all(np.isfinite(self.q)) or np.any(self.q < 0.0):
+        if not (self.q.min() >= 0.0 and self.q.max() < math.inf):
             raise ValueError("estimates must be finite and non-negative")
 
 
@@ -132,7 +132,7 @@ def update_estimates(
     cols = np.asarray(profile, dtype=int) - 1
     q[rows, cols] += lam * (target - q[rows, cols])
     # estimates can never leave [0, 1/theta]; exceeding it means a bug
-    check_estimates(q, thetas_arr)
+    check_estimates(q, (1.0 / thetas_arr + Q_BOUND_SLACK)[:, None])
     return replace(state, q=q)
 
 

@@ -24,15 +24,14 @@ whatever the trial count, block size or chunk size.
 Uniforms are drawn a chunk of slots at a time, and the chunk's channel
 states with them. A policy that learns steps through the chunk slot by
 slot, since each slot's actions depend on the last update. Its slot step
-allocates nothing: sampling and contention write into one workspace of
-buffers made once per block (`_Work`), and the update into buffers the
-policy makes on its first call. Its ufuncs take same-shape, same-dtype
-operands, numpy's fast path at these sizes, for the same bits: each slot's
-uniforms and rates are tiled once per chunk, per-user constants once per
-block; the bool one-hot is copied to float to count takers and mask the
-updates (a step times 0 added to q leaves q, as `where=` does); and p is
-copied after each update into a per-chunk history, off which the traced p
-and the convergence test (a maximum, exact in any order) are read.
+is bound once per block: sampling, contention and the update are closures
+over their buffers (`_Work` and the policy's), ufuncs and constants, and
+each slot's operands are views made once, so a step makes no array and no
+view. Its ufuncs take same-shape, same-dtype operands, numpy's fast path
+at these sizes, for the same bits (README, "Simulation engine and
+determinism"). After each update p is copied into a per-chunk history (q
+and the one-hot too, when traced), off which the traces and the
+convergence test are read once per chunk.
 One that does not learn (`learns` false, the random baseline) never reads
 payoffs, so its `play` acts, contends and logs the whole chunk as
 [k, T, N] arrays. The held baseline's takers and ranks never change, so it
@@ -46,11 +45,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy import add, copyto, divide, exp, expm1, greater, maximum, minimum, multiply, subtract
 
 from specgame.capacity import effective_capacity
 from specgame.channels import RateSampler
 from specgame.game import Contention, GameSpec, congestion_counts, shared_rate_distribution
-from specgame.learning import StepSchedule, check_estimates, check_simplex_rows
+from specgame.learning import Q_BOUND_SLACK, StepSchedule, check_estimates, check_simplex_rows
 
 # Byte budget of the per-slot payoff log of one untraced block of trials.
 # Larger experiments run as several blocks.
@@ -220,8 +220,8 @@ class _Work:
     `shape` is the shape of the action uniforms the step reads: [T, N] for
     one slot of a block, [k, T, N] for a chunk of k slots. Every buffer is
     channel-major, [M, *shape], or [M, *shape[:-1], 1] for one value per
-    channel. `_sample` writes the one-hot `chosen` and its copy `hot` in
-    the type `counts`, and `_contend` reads them: float for a learner, whose
+    channel. A sampler writes the one-hot `chosen` and its copy `hot` in the
+    type `counts`, and a contender reads them: float for a learner, whose
     update reads `hot` too, or the smallest integer type that holds N, which
     keeps chunk-sized buffers small; a one-byte `hot` is `chosen` itself.
     """
@@ -247,8 +247,33 @@ class _Work:
         self.shares = np.broadcast_to(self.share, full)
 
 
-def _contend(model: Contention, work: _Work, rates, tiebreak, out) -> None:
-    """resolve_contention for a block of trials, over any leading shape.
+def _sampler(p: np.ndarray, work: _Work):
+    """`sample(u)`: inverse-CDF draws from the channel-major strategies
+    p [M, ...] at uniforms u [...] or [M - 1, ...], as their channel-major
+    one-hot `work.chosen` and its copy `work.hot`, which it returns. It
+    reads p's buffer, so p is updated in place.
+
+    The arithmetic of learning.sample_profile: running sums in channel
+    order, the last one taken as 1, and the first sum above u
+    (bisect_right). Running sums never fall, so a channel is drawn where
+    its sum is above u and the sum before it is not.
+    """
+    accumulate, head, cum, above = add.accumulate, p[:-1], work.cum, work.above_sums
+    hi, lo, chosen, hot = work.above_hi, work.above_lo, work.chosen, work.hot
+
+    def sample(u):
+        accumulate(head, 0, None, cum)
+        greater(cum, u, above)
+        greater(hi, lo, chosen)
+        copyto(hot, chosen)
+        return hot
+
+    return sample
+
+
+def _contender(model: Contention, work: _Work):
+    """`contend(rates, tiebreak, out)`: resolve_contention for a block of
+    trials, over any leading shape.
 
     Reads the channel-major one-hot [M, ..., N] of the users' actions from
     `work`. rates are channel-major, [M, ..., N], one value per channel
@@ -257,40 +282,30 @@ def _contend(model: Contention, work: _Work, rates, tiebreak, out) -> None:
     each. It gets something on one channel at most, so the sum adds one
     value to the reduction's zero, which is exact.
     """
-    taken, counts = work.taken, work.counts
-    np.add.accumulate(work.hot, -1, None, taken)
-    if model is Contention.FAIR_SHARE:
+    accumulate, total, hot, taken = add.accumulate, add.reduce, work.hot, work.taken
+    counts, chosen, share, shares = work.counts, work.chosen, work.share, work.shares
+    draw, past, past_before, paid = work.draw, work.past, work.past_before, work.paid
+
+    def fair_share(rates, tiebreak, out):
+        accumulate(hot, -1, None, taken)
         # an empty channel divides by 1 instead of 0; no user reads it, and
         # fair share reads nothing else of `taken`
-        np.maximum(counts, 1, out=counts)
-        np.divide(rates[..., :1], counts, out=work.share)
-        np.add.reduce(work.shares, 0, None, out, where=work.chosen)
-        return
+        maximum(counts, 1, out=counts)
+        divide(rates[..., :1], counts, share)
+        total(shares, 0, None, out, where=chosen)
+
     # The winner's 1-based rank among the channel's c takers is
     # floor(u * c) + 1: the first taker whose count so far is above u * c.
     # Counts only grow, and only at takers, so it is where the count is
     # above u * c and the count before it is not.
-    np.multiply(tiebreak, counts, out=work.draw)
-    np.greater(taken, work.draw, out=work.past)
-    np.greater(work.past, work.past_before, out=work.paid)
-    np.add.reduce(rates, 0, None, out, where=work.paid)
+    def slot_winner(rates, tiebreak, out):
+        accumulate(hot, -1, None, taken)
+        multiply(tiebreak, counts, draw)
+        greater(taken, draw, past)
+        greater(past, past_before, paid)
+        total(rates, 0, None, out, where=paid)
 
-
-def _sample(p: np.ndarray, u: np.ndarray, work: _Work) -> np.ndarray:
-    """Inverse-CDF draws from the channel-major strategies p [M, ...] at
-    uniforms u [...] or [M - 1, ...], as their channel-major one-hot in
-    `work`; returns its copy `work.hot`.
-
-    The arithmetic of learning.sample_profile: running sums in channel
-    order, the last one taken as 1, and the first sum above u
-    (bisect_right). Running sums never fall, so a channel is drawn where
-    its sum is above u and the sum before it is not.
-    """
-    np.add.accumulate(p[:-1], 0, None, work.cum)
-    np.greater(work.cum, u, out=work.above_sums)
-    np.greater(work.above_hi, work.above_lo, out=work.chosen)
-    np.copyto(work.hot, work.chosen)
-    return work.hot
+    return fair_share if model is Contention.FAIR_SHARE else slot_winner
 
 
 @dataclass
@@ -306,30 +321,26 @@ class BlockState:
 
     p: np.ndarray  # [M, T, N]
     q: np.ndarray  # [M, T, N], zero for policies without estimates
-    slot: int = 0  # slots a learner has completed; its step size reads it
 
 
 class Policy:
     """How one algorithm learns from a block of trials; one instance serves
     one block.
 
-    A policy that learns (`learns` true) acts by `_sample` on its
-    strategies, and `update(state, chosen, payoffs)` takes the channel-major
-    float one-hot [M, T, N] of the chosen channels and the [T, N] payoffs.
-    It works on whole [T, N] slabs: per-user values broadcast over the
-    leading channel axis, and sums over channels add the slabs in channel
-    order, the order of numpy's row sum up to seven channels. It makes its
-    buffers and tiled constants on the first update. The engine checks its
-    state once per chunk.
+    A policy that learns (`learns` true) acts by a sampler on its
+    strategies, and `bind(state, chosen)` returns its slot update
+    `update(payoffs, lam)`: from the [T, N] payoffs, the slot's estimate
+    gain (a 0-d array) and the channel-major float one-hot `chosen`
+    [M, T, N], it updates `state` in place. It works on whole [T, N] slabs:
+    per-user values broadcast over the leading channel axis, and sums over
+    channels add the slabs in channel order, the order of numpy's row sum
+    up to seven channels. The engine checks its state once per chunk.
     """
 
     learns = True  # whether it updates on payoffs; the convergence slot is read off p
 
-    def update(self, state: BlockState, chosen: np.ndarray, payoffs: np.ndarray) -> None:
-        raise NotImplementedError
-
     def check(self, state: BlockState) -> None:
-        check_simplex_rows(state.p.transpose(1, 2, 0))
+        check_simplex_rows(state.p, axis=0)
 
 
 class LearnPolicy(Policy):
@@ -337,60 +348,62 @@ class LearnPolicy(Policy):
     learning.update_estimates followed by update_probabilities."""
 
     def __init__(self, config: SimConfig) -> None:
-        self.schedule = StepSchedule(eta=config.eta, lam=config.lam)
         self.log_gain = np.asarray(math.log1p(config.eta))
         self.thetas = np.asarray(config.game.thetas, dtype=float)
-        self.w = self.row = self.neg_thetas = None
+        self.limits = 1.0 / self.thetas + Q_BOUND_SLACK  # users on the last axis
 
-    def update(self, state, chosen, payoffs):
-        if self.w is None:
-            self.w, self.row = np.empty_like(state.p), np.empty_like(payoffs)
-            self.neg_thetas = np.broadcast_to(-self.thetas, payoffs.shape).copy()
-        w, row, p, q = self.w, self.row, state.p, state.q
-        # payoff_transform, less its per-call check of the exponents
-        np.multiply(self.neg_thetas, payoffs, out=row)
-        np.expm1(row, out=row)
-        np.divide(row, self.neg_thetas, out=row)
-        # the chosen estimates move by lambda towards it (q + 0 * step is q)
-        np.subtract(row, q, out=w)
-        np.multiply(w, self.schedule.lambda_at(state.slot), out=w)
-        np.multiply(w, chosen, out=w)
-        np.add(w, q, out=q)
-        np.multiply(q, self.log_gain, out=w)
-        np.maximum.reduce(w, 0, None, row)
-        np.subtract(w, row, out=w)
-        np.exp(w, out=w)
-        np.multiply(w, p, out=w)
-        np.add.reduce(w, 0, None, row)
-        np.divide(w, row, out=p)
+    def bind(self, state, chosen):
+        p, q, log_gain, top, total = state.p, state.q, self.log_gain, maximum.reduce, add.reduce
+        w, row = np.empty_like(p), np.empty(p.shape[1:])
+        neg_thetas = np.broadcast_to(-self.thetas, row.shape).copy()
+
+        def update(payoffs, lam):
+            # payoff_transform, less its per-call check of the exponents
+            multiply(neg_thetas, payoffs, row)
+            expm1(row, row)
+            divide(row, neg_thetas, row)
+            # the chosen estimates move by lambda towards it (q + 0 * step is q)
+            subtract(row, q, w)
+            multiply(w, lam, w)
+            multiply(w, chosen, w)
+            add(w, q, q)
+            multiply(q, log_gain, w)
+            top(w, 0, None, row)
+            subtract(w, row, w)
+            exp(w, w)
+            multiply(w, p, w)
+            total(w, 0, None, row)
+            divide(w, row, p)
+
+        return update
 
     def check(self, state):
         super().check(state)
-        check_estimates(state.q.transpose(1, 2, 0), self.thetas)
+        check_estimates(state.q, self.limits)
 
 
 class SLAPolicy(Policy):
-    """Linear reward-inaction: the block form of learning.sla_update."""
+    """Linear reward-inaction: the block form of learning.sla_update (lam unused)."""
 
     def __init__(self, config: SimConfig) -> None:
-        self.b = np.asarray(config.sla_gain)
-        self.r_max = np.asarray(config.rate_cap())
-        self.one = np.asarray(1.0)
-        self.w = self.row = None
+        self.b, self.r_max = np.asarray(config.sla_gain), np.asarray(config.rate_cap())
 
-    def update(self, state, chosen, payoffs):
-        if self.w is None:
-            self.w, self.row = np.empty_like(state.p), np.empty_like(payoffs)
-        w, row, p = self.w, self.row, state.p
-        # payoffs are >= 0, so only the upper clip of sla_update can act
-        np.divide(payoffs, self.r_max, out=row)
-        np.minimum(row, self.one, out=row)
-        np.multiply(row, self.b, out=row)
-        np.subtract(chosen, p, out=w)
-        np.multiply(w, row, out=w)
-        np.add(w, p, out=w)
-        np.add.reduce(w, 0, None, row)
-        np.divide(w, row, out=p)
+    def bind(self, state, chosen):
+        p, b, r_max, one, total = state.p, self.b, self.r_max, np.asarray(1.0), add.reduce
+        w, row = np.empty_like(p), np.empty(p.shape[1:])
+
+        def update(payoffs, lam):
+            # payoffs are >= 0, so only the upper clip of sla_update can act
+            divide(payoffs, r_max, row)
+            minimum(row, one, out=row)
+            multiply(row, b, row)
+            subtract(chosen, p, w)
+            multiply(w, row, w)
+            add(w, p, w)
+            total(w, 0, None, row)
+            divide(w, row, p)
+
+        return update
 
 
 class RandomPolicy(Policy):
@@ -418,9 +431,10 @@ class RandomPolicy(Policy):
         if self.per_slot:
             if self.work is None or self.work.chosen.shape[1:] != u.shape:
                 self.work = _Work(len(p), u.shape, np.min_scalar_type(u.shape[-1]))
-            chosen = _sample(np.broadcast_to(p[:, None], (len(p),) + u.shape), u, self.work)
-            rates = np.broadcast_to(rates.transpose(2, 0, 1)[..., None], self.work.chosen.shape)
-            _contend(model, self.work, rates, tiebreak.transpose(2, 0, 1)[..., None], out)
+            shape = self.work.chosen.shape
+            chosen = _sampler(np.broadcast_to(p[:, None], shape), self.work)(u)
+            rates = np.broadcast_to(rates.transpose(2, 0, 1)[..., None], shape)
+            _contender(model, self.work)(rates, tiebreak.transpose(2, 0, 1)[..., None], out)
             return chosen.argmax(axis=0)
         if self.held is None:
             self._hold(p, u[0])
@@ -429,7 +443,7 @@ class RandomPolicy(Policy):
         if model is Contention.FAIR_SHARE:
             np.divide(got, self.count, out=out)
         else:
-            # the winner's 0-based rank is floor(u * c), as in _contend
+            # the winner's 0-based rank is floor(u * c), as in _contender
             tie = tiebreak[:, self.rows, self.held]
             tie *= self.count
             np.floor(tie, out=tie)
@@ -439,7 +453,7 @@ class RandomPolicy(Policy):
     def _hold(self, p, u):
         """Draw the held profile at the first slot's uniforms u [T, N]; its
         takers per channel and each user's rank among them never change."""
-        held = _sample(p, u, _Work(len(p), u.shape, np.uint8)).argmax(axis=0)
+        held = _sampler(p, _Work(len(p), u.shape, np.uint8))(u).argmax(axis=0)
         same = held[..., :, None] == held[..., None, :]  # [T, N, N]: users on one channel
         self.count = same.sum(axis=-1, dtype=float)  # takers of each user's channel
         self.rank = np.tril(same, -1).sum(axis=-1, dtype=float)  # takers before it
@@ -515,8 +529,7 @@ def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[T
     traces when `traced`."""
     game = config.game
     model = game.contention
-    n, m, slots = game.n_users, game.n_channels, config.iterations
-    size = len(trials)
+    n, m, slots, size = game.n_users, game.n_channels, config.iterations, len(trials)
     rngs = [trial_rng(config.base_seed, i) for i in trials]
     policy = POLICIES[config.algorithm](config)
     state = BlockState(p=np.full((m, size, n), 1.0 / m), q=np.zeros((m, size, n)))
@@ -526,16 +539,24 @@ def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[T
     # per-slot logs, slot-major, so one slot or one chunk writes as one row
     payoff_log = np.empty((slots, size, n))
     if traced:
-        trace_p = np.empty((slots, size, n, m))
-        trace_q = np.empty((slots, size, n, m))
+        # what a policy does not change (the random baseline's p and q) stays
+        trace_p, trace_q = np.full((slots, size, n, m), 1.0 / m), np.zeros((slots, size, n, m))
         trace_a = np.empty((slots, size, n), dtype=int)
     conv = np.full(size, -1)  # -1: not converged yet
     if policy.learns:
+        # the slot step, bound once, and each slot's operands and rows in a chunk
         work = _Work(m, (size, n), float)
-        # per slot: its uniforms and rates tiled to channel-major slabs, and p
+        sample, contend = _sampler(state.p, work), _contender(model, work)
+        update, p, q, hot = policy.bind(state, work.hot), state.p, state.q, work.hot
+        schedule = StepSchedule(eta=config.eta, lam=config.lam)
         slot_u = np.empty((CHUNK_SLOTS, m - 1, size, n))
-        slot_rates = np.empty((CHUNK_SLOTS, m, size, n))
-        history = np.empty((CHUNK_SLOTS, m, size, n))
+        slot_rates, history = np.empty((2, CHUNK_SLOTS, m, size, n))
+        ties = draws[..., n + m :].transpose(1, 2, 0)[..., None]
+        gains, slot_pay = np.empty(CHUNK_SLOTS), np.empty((CHUNK_SLOTS, size, n))
+        lams = [gains[s, ...] for s in range(CHUNK_SLOTS)]  # 0-d views
+        steps = list(zip(slot_u, slot_rates, ties, lams, slot_pay, history))
+        if traced:
+            q_rows, hot_rows = np.empty((2,) + history.shape)
 
     for start in range(0, slots, CHUNK_SLOTS):
         k = min(CHUNK_SLOTS, slots - start)
@@ -547,34 +568,32 @@ def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[T
         uniforms = draws[:, :k].swapaxes(0, 1)
         act_u, tiebreak = uniforms[..., :n], uniforms[..., n + m :]
         window = slice(start, start + k)
-        payoffs_at = payoff_log[window]
         if traced:
             p_at, q_at, a_at = trace_p[window], trace_q[window], trace_a[window]
         if not policy.learns:
-            actions = policy.play(model, state.p, act_u, rates, tiebreak, payoffs_at)
+            actions = policy.play(model, state.p, act_u, rates, tiebreak, payoff_log[window])
             if traced:
-                p_at[:] = state.p.transpose(1, 2, 0)
-                q_at[:] = state.q.transpose(1, 2, 0)
                 a_at[:] = actions + 1  # 1-based channel ids
             continue
         # a learner steps slot by slot, since each slot's actions depend on
         # the last update
         np.copyto(slot_u[:k], act_u[:, None])
         np.copyto(slot_rates[:k], rates.transpose(0, 2, 1)[..., None])
-        steps = zip(payoffs_at, slot_u, slot_rates, tiebreak.transpose(0, 2, 1)[..., None], history)
-        for s, (payoffs, u, rates_now, ties_now, p_now) in enumerate(steps):
-            chosen = _sample(state.p, u, work)
-            _contend(model, work, rates_now, ties_now, payoffs)
-            policy.update(state, chosen, payoffs)
-            state.slot += 1
-            p_now[...] = state.p  # a copy: a policy may rebind state.p
+        gains[:k] = schedule.lambda_at(np.arange(start, start + k))
+        for s, (u, rates_now, ties_now, lam, payoffs, p_now) in enumerate(steps[:k]):
+            sample(u)
+            contend(rates_now, ties_now, payoffs)
+            update(payoffs, lam)
+            copyto(p_now, p)
             if traced:
-                q_at[s] = state.q.transpose(1, 2, 0)
-                chosen.argmax(axis=0, out=a_at[s])
+                copyto(q_rows[s], q)
+                copyto(hot_rows[s], hot)
+        payoff_log[window] = slot_pay[:k]
         chunk_p = history[:k]
         if traced:
             p_at[:] = chunk_p.transpose(0, 2, 3, 1)
-            a_at += 1  # 1-based channel ids
+            q_at[:] = q_rows[:k].transpose(0, 2, 3, 1)
+            a_at[:] = hot_rows[:k].argmax(axis=1) + 1  # 1-based channel ids
         try:
             policy.check(state)
         except ValueError as err:
@@ -582,10 +601,11 @@ def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[T
                 f"trials {trials[0]}..{trials[-1]} (base seed {config.base_seed}), "
                 f"slot {start + k}: {err}"
             ) from err
-        # every user concentrated: learning.is_converged, on each slot's p
-        hit = np.maximum.reduce(chunk_p, 1).min(axis=-1) >= 1.0 - config.epsilon
-        fresh = (conv < 0) & hit.any(axis=0)
-        conv[fresh] = start + hit.argmax(axis=0)[fresh] + 1
+        if (conv < 0).any():  # else every trial has its convergence slot
+            # every user concentrated: learning.is_converged, on each slot's p
+            hit = minimum.reduce(maximum.reduce(chunk_p, 1), -1) >= 1.0 - config.epsilon
+            fresh = (conv < 0) & np.logical_or.reduce(hit, 0)
+            conv[fresh] = start + hit.argmax(axis=0)[fresh] + 1
 
     finals = (state.p.argmax(axis=0) if policy.learns else actions[-1]) + 1
     closed = _closed_form(game)

@@ -205,12 +205,39 @@ class TestChunkChecks:
         with pytest.raises(ValueError, match="finite"):
             LearnPolicy(self.config("learn")).check(state)
 
+    @pytest.mark.parametrize("policy", [LearnPolicy, SLAPolicy])
+    def test_infinite_strategy_raises_finite_not_drift(self, policy):
+        state = self.state()
+        state.p[1, 2, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            policy(self.config("learn")).check(state)
+
+    def test_each_estimate_meets_its_own_users_limit(self):
+        # the sla_mix exponents: the 1/theta limits run from 2 to 1000
+        thetas = (0.02, 0.05, 0.1, 0.2, 0.5, 0.002, 0.005, 0.01, 0.001)
+        config = self.config("learn")
+        policy = LearnPolicy(replace(config, game=replace(config.game, thetas=thetas)))
+        limits = 1.0 / np.array(thetas)
+        # every estimate at its own user's 1/theta, above most other users' limits
+        at_limit = np.broadcast_to(limits, (2, 3, len(thetas))).copy()
+        policy.check(BlockState(p=np.full(at_limit.shape, 0.5), q=at_limit))
+        for user, limit in enumerate(limits):
+            q = at_limit.copy()
+            q[1, 2, user] = limit * (1.0 + 1e-6)
+            with pytest.raises(ValueError, match="1/theta"):
+                policy.check(BlockState(p=np.full(q.shape, 0.5), q=q))
+
 
 def test_corrupted_state_fails_the_run_naming_its_trials(monkeypatch):
     class Drifting(LearnPolicy):
-        def update(self, state, chosen, payoffs):
-            super().update(state, chosen, payoffs)
-            state.p = state.p * 1.001
+        def bind(self, state, chosen):
+            update = super().bind(state, chosen)
+
+            def drifting(payoffs, lam):
+                update(payoffs, lam)
+                state.p *= 1.001  # in place: the slot step reads p's buffer
+
+            return drifting
 
     monkeypatch.setitem(simulator.POLICIES, "learn", Drifting)
     config = TestChunkChecks().config("learn")

@@ -12,6 +12,7 @@ from conftest import random_game
 from specgame.capacity import effective_capacity, empirical_effective_capacity
 from specgame.channels import ChannelSpec
 from specgame.game import Contention, GameSpec, shared_rate_distribution, utility
+from specgame.learning import is_converged
 from specgame import simulator
 from specgame.simulator import (
     SimConfig,
@@ -171,9 +172,9 @@ class TestResolveContention:
 
 
 def contend(model, chosen, rates, tiebreak):
-    """simulator._contend on fresh workspaces holding the one-hot `chosen`
-    as `_sample` leaves it, with the channel-major [M, ...] rates and
-    tiebreak laid out as it reads them.
+    """The contention step of simulator._contender on fresh workspaces
+    holding the one-hot `chosen` as a sampler leaves it, with the
+    channel-major [M, ...] rates and tiebreak laid out as it reads them.
 
     Runs it with the counts of a learner's slot (float) and of a chunk (the
     smallest integer type that holds N), and returns the payoffs after
@@ -187,7 +188,7 @@ def contend(model, chosen, rates, tiebreak):
         work.chosen[...] = chosen
         work.hot[...] = chosen
         out = np.empty(shape)
-        simulator._contend(model, work, rates, tiebreak[..., None], out)
+        simulator._contender(model, work)(rates, tiebreak[..., None], out)
         got.append(out)
     assert np.array_equal(got[0].view(np.int64), got[1].view(np.int64))
     return got[0]
@@ -243,7 +244,7 @@ def bits(a):
 
 class TestHeldRandomGather:
     """The held random baseline gathers each user's rate and tie-break; it
-    must pay what _contend pays on its one-hot broadcast over the chunk."""
+    must pay what contention pays on its one-hot broadcast over the chunk."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -330,6 +331,49 @@ class TestLearnerChunks:
                     a, b = getattr(got.traces, field), getattr(want.traces, field)
                     assert a.dtype == b.dtype
                     assert np.array_equal(bits(a), bits(b)), field
+
+
+    @pytest.mark.parametrize("algorithm", ["learn", "sla"])
+    @pytest.mark.parametrize("contention", list(Contention))
+    def test_convergence_slots_once_every_trial_has_converged(self, algorithm, contention):
+        """The convergence scan stops once every trial of the block has a
+        convergence slot; each must still be the first slot at which
+        learning.is_converged holds."""
+        game = GameSpec(
+            thetas=(0.5, 0.1, 1.0),
+            channels=(
+                ChannelSpec(id=1, rates=(0.0, 2.0), probs=(0.5, 0.5)),
+                ChannelSpec(id=2, rates=(1.0, 6.0), probs=(0.5, 0.5)),
+                ChannelSpec(id=3, rates=(0.0, 3.0), probs=(0.3, 0.7)),
+            ),
+            contention=contention,
+        )
+        cfg = SimConfig(
+            game=game,
+            iterations=200,
+            trials=3,
+            base_seed=6,
+            algorithm=algorithm,
+            eta=2.0,
+            lam=0.3,
+            sla_gain=0.5,
+            epsilon=0.1,
+        )
+        chunk_slots = 16
+        with mock.patch.object(simulator, "CHUNK_SLOTS", chunk_slots):
+            traced = simulator._run_block(cfg, range(cfg.trials), True)
+            untraced = run_experiment(cfg).results
+        conv = [r.conv_slot for r in traced]
+        # every trial converges before the last of the 13 chunks
+        assert None not in conv and max(conv) <= cfg.iterations - chunk_slots
+        for got in traced:
+            first = next(
+                slot
+                for slot, p in enumerate(got.traces.p, 1)
+                if is_converged(p, cfg.epsilon)
+            )
+            assert got.conv_slot == first
+        assert [r.conv_slot for r in untraced] == conv
 
 
 class TestBlockScoring:
