@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from specgame.game import GameSpec, _count_utility_tables, _exp_term_table
+from specgame.game import GameSpec, _exp_term_table, _occupancy, count_tables
 from specgame.learning import check_simplex_rows
 
 
@@ -42,9 +42,10 @@ class _Field:
 
     For user n on channel m, the number of other users on m is
     Poisson-binomial in the column p[:, m] without row n, so
-    omega[n, m] = sum_c P(c others) * T_n[m, c] with T_n the user's
-    surrogate table. The potential separates over channels the same way,
-    against the whole population's count law and the exp-term table.
+    omega[n, m] = sum_c P(c others) * T_n[m, c] with T_n the surrogate
+    count table of the user's exponent class. The potential separates over
+    channels the same way, against the whole population's count law and the
+    exp-term table.
 
     The count laws of a batch of B profiles live count-major, in
     [count + 1, B, N, M] buffers whose row 0 is an all-zero pad below count
@@ -56,7 +57,8 @@ class _Field:
     """
 
     def __init__(self, game: GameSpec):
-        self.tables = np.stack(_count_utility_tables(game, "surrogate"))  # [N, M, N]
+        classes, tables = count_tables(game, "surrogate", game.n_users)
+        self.tables = tables[classes]  # [N, M, N]
         self.theta = game.homogeneous_theta()
         if self.theta is not None:
             self.exp_terms = _exp_term_table(game, self.theta, game.n_users)
@@ -278,7 +280,7 @@ def is_stationary(game: GameSpec, strategies, tol: float = 1e-9) -> bool:
 
 def vertex_profile(game: GameSpec, profile) -> np.ndarray:
     """The pure strategy array putting all mass on `profile`."""
+    prof, _ = _occupancy(game, profile)
     p = np.zeros((game.n_users, game.n_channels))
-    for n, a in enumerate(profile):
-        p[n, a - 1] = 1.0
+    p[np.arange(game.n_users), np.array(prof) - 1] = 1.0
     return p

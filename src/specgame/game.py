@@ -12,8 +12,12 @@ potential -(1/theta) * log phi, where phi sums the exponential rate terms
 channel by channel over contender counts.
 
 Payoffs depend only on a user's channel, its exponent and the channel's
-occupancy, so equilibria and the potential maximizer are found by scanning
-occupancy counts per exponent class, never all M**N profiles.
+occupancy, so one kernel, `count_tables`, holds the game: each user's
+exponent class and a [K, M, upto] payoff table per class. Every equilibrium
+check, the potential check and the mean-field field read it, and utilities
+of whole profiles are one gather, tables[classes, a - 1, c - 1]. Equilibria
+and the potential maximizer scan occupancy counts per exponent class, never
+all M**N profiles.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from specgame.capacity import (
-    RateDistribution, _log_mgf_neg, approx_utility, check_exponents, effective_capacity,
-    log_sum_exp,
+    RateDistribution, _approx_utilities, _effective_capacities, _log_mgf_neg, approx_utility,
+    check_exponents, effective_capacity, log_sum_exp,
 )
 from specgame.channels import ChannelSpec
 
@@ -205,8 +209,8 @@ def _sum_columns(values: np.ndarray) -> np.ndarray:
 def _log_phi(game: GameSpec, counts: Sequence[int], theta: float) -> float:
     """log phi of an occupancy state, in log space as effective capacity is."""
     pairs = zip(game.channels, counts)
-    x = [_log_mgf_neg(ch.law, theta / l) for ch, c in pairs for l in range(1, c + 1)]
-    return log_sum_exp(np.array(x))
+    x = [_log_mgf_neg(ch.law, theta / np.arange(1, c + 1)) for ch, c in pairs]
+    return log_sum_exp(np.concatenate(x))
 
 
 def _require_homogeneous(game: GameSpec) -> float:
@@ -240,32 +244,38 @@ def surrogate_potential(game: GameSpec, profile: Sequence[int]) -> float:
 
 # --- pure-strategy equilibrium tooling -------------------------------------
 
-_PAYOFFS: dict[str, Callable[[RateDistribution, float], float]] = {
-    "capacity": effective_capacity,
-    "surrogate": approx_utility,
+_PAYOFFS: dict[str, Callable[[RateDistribution, np.ndarray], np.ndarray]] = {
+    "capacity": _effective_capacities,
+    "surrogate": _approx_utilities,
 }
 
 
-def _count_utility_tables(game: GameSpec, payoff: str) -> list[np.ndarray]:
-    """Per user: array [M, N] of utility on channel m with c contenders.
+def count_tables(game: GameSpec, payoff: str, upto: int) -> tuple[np.ndarray, np.ndarray]:
+    """The game's payoffs by exponent class, channel and occupancy.
 
-    Built through the same distribution + capacity path as the utility op,
-    so table lookups agree bit-for-bit with direct evaluation.
+    Returns `classes` [N], each user's class, numbered in the order of the
+    classes' first users, and `tables` [K, M, upto], where
+    tables[k, m, c - 1] is the payoff (`"capacity"`, the effective capacity,
+    or `"surrogate"`) of a class-k user on channel m + 1 with c users there.
+    Each shared rate law is built once and every class's exponent is
+    evaluated on it by the code behind `utility` and `surrogate_utility`, so
+    entries agree with them bit for bit.
     """
     try:
         payoff_fn = _PAYOFFS[payoff]
     except KeyError:
         raise ValueError(f"unknown payoff {payoff!r}; expected 'capacity' or 'surrogate'")
-    N, M = game.n_users, game.n_channels
-    by_theta: dict[float, np.ndarray] = {}
-    for theta in set(game.thetas):
-        tab = np.empty((M, N))
-        for mi, ch in enumerate(game.channels):
-            for c in range(1, N + 1):
-                dist = shared_rate_distribution(ch, c, game.contention)
-                tab[mi, c - 1] = payoff_fn(dist, theta)
-        by_theta[theta] = tab
-    return [by_theta[t] for t in game.thetas]
+    if not 1 <= upto <= game.n_users:
+        raise ValueError(f"upto must be in 1..{game.n_users}, got {upto!r}")
+    first: dict[float, int] = {}
+    classes = np.array([first.setdefault(t, len(first)) for t in game.thetas])
+    thetas = np.array(list(first))
+    tables = np.empty((len(thetas), game.n_channels, upto))
+    for mi, ch in enumerate(game.channels):
+        for c in range(1, upto + 1):
+            law = shared_rate_distribution(ch, c, game.contention)
+            tables[:, mi, c - 1] = payoff_fn(law, thetas)
+    return classes, tables
 
 
 @dataclass(frozen=True)
@@ -280,7 +290,8 @@ class NashResult:
 
 def _improvement(table: np.ndarray, a: int, counts, tol: float) -> tuple[int, float] | None:
     """The first channel that pays a user on channel `a` more than `tol`
-    above staying, with the gain, or None. `table` is the user's [M, N]."""
+    above staying, with the gain, or None. `table` is the user's class's
+    [M, N] count table."""
     current = table[a - 1, counts[a - 1] - 1]
     for b in range(1, len(counts) + 1):
         if b != a and table[b - 1, counts[b - 1]] > current + tol:
@@ -289,7 +300,7 @@ def _improvement(table: np.ndarray, a: int, counts, tol: float) -> tuple[int, fl
 
 
 def _find_improvement(
-    tables: list[np.ndarray],
+    tables: np.ndarray,
     prof: ActionProfile,
     counts: Sequence[int],
     tol: float,
@@ -309,16 +320,8 @@ def is_nash(
 ) -> NashResult:
     """Check unilateral deviations; a deviation must gain more than `tol` to count."""
     prof, counts = _occupancy(game, profile)
-    tables = _count_utility_tables(game, payoff)
-    return _find_improvement(tables, prof, counts, tol)
-
-
-def _exponent_classes(game: GameSpec) -> list[list[int]]:
-    """User indices grouped by QoS exponent, classes in order of their first user."""
-    classes: dict[float, list[int]] = {}
-    for n, theta in enumerate(game.thetas):
-        classes.setdefault(theta, []).append(n)
-    return list(classes.values())
+    classes, tables = count_tables(game, payoff, game.n_users)
+    return _find_improvement(tables[classes], prof, counts, tol)
 
 
 def occupancy_vectors(users: int, channels: int) -> np.ndarray:
@@ -433,7 +436,7 @@ def _arrangements(counts: Sequence[int], dtype) -> np.ndarray:
 
 
 def _expand(
-    classes: list[list[int]],
+    members: list[np.ndarray],
     occupancy: list[np.ndarray],
     states: list[np.ndarray],
     n_users: int,
@@ -458,7 +461,7 @@ def _expand(
     dtype = np.min_scalar_type(occupancy[0].shape[1])
     profiles = np.zeros((len(states[0]), n_users), dtype=dtype)
     owner = np.arange(len(profiles))  # the state each partial profile came from
-    for users, occ, digits in zip(classes, occupancy, states):
+    for users, occ, digits in zip(members, occupancy, states):
         # group the partial profiles by this class's occupancy row
         key_of = digits[owner]
         order = np.argsort(key_of, kind="stable")
@@ -488,14 +491,12 @@ def enumerate_nash(
     states are expanded into profiles. Refuses, naming the limit, when the
     states to scan exceed STATE_LIMIT or the profiles to list PROFILE_LIMIT.
     """
-    classes = _exponent_classes(game)
-    _check_state_count([len(users) for users in classes], game.n_channels)
-    tables = _count_utility_tables(game, payoff)
-    occupancy = [occupancy_vectors(len(users), game.n_channels) for users in classes]
-    states = _equilibrium_states(
-        occupancy, [tables[users[0]] for users in classes], tol
-    )
-    profiles = _expand(classes, occupancy, states, game.n_users)
+    classes, tables = count_tables(game, payoff, game.n_users)
+    members = [np.flatnonzero(classes == k) for k in range(len(tables))]
+    _check_state_count([len(users) for users in members], game.n_channels)
+    occupancy = [occupancy_vectors(len(users), game.n_channels) for users in members]
+    states = _equilibrium_states(occupancy, list(tables), tol)
+    profiles = _expand(members, occupancy, states, game.n_users)
     return list(zip(*(profiles.T + 1).tolist()))
 
 
@@ -527,28 +528,38 @@ def potential_maximizer(game: GameSpec) -> ActionProfile:
     return min(tuple(np.repeat(np.arange(1, M + 1), x).tolist()) for x in ties)
 
 
-def total_utility(game: GameSpec, profiles: Sequence[Sequence[int]]) -> np.ndarray:
-    """Sum of the users' effective capacities in each profile, from the count tables.
+def profile_utilities(game: GameSpec, profiles: Sequence[Sequence[int]]) -> np.ndarray:
+    """Every user's effective capacity in each profile, as [P, N].
 
-    Added in user order, so each entry equals
-    sum(utility(game, p, u) for u in range(N)) bit for bit.
+    One gather from the count tables, tables[classes, a - 1, c - 1], built
+    up to the largest occupancy in `profiles`; each entry equals
+    utility(game, profile, user) bit for bit.
     """
     N, M = game.n_users, game.n_channels
     if len(profiles) == 0:
-        return np.zeros(0)
+        return np.zeros((0, N))
     prof = np.array(profiles, dtype=np.int64)
     prof -= 1
     if prof.ndim != 2 or prof.shape[1] != N:
         raise ValueError(f"each profile must list {N} channel ids")
     if prof.min() < 0 or prof.max() >= M:
         raise ValueError(f"profile entries must be channel ids in 1..{M}")
-    tables = np.stack(_count_utility_tables(game, "capacity"))
     # occupancy counts in the smallest integer type that holds N: they set
     # the peak memory of analyze on the largest presets
     dtype = np.min_scalar_type(N)
     counts = np.stack([(prof == m).sum(axis=1, dtype=dtype) for m in range(M)], axis=1)
     own = np.take_along_axis(counts, prof, axis=1)
-    return _sum_columns(tables[np.arange(N), prof, own - 1])
+    classes, tables = count_tables(game, "capacity", int(own.max()))
+    return tables[classes, prof, own - 1]
+
+
+def total_utility(game: GameSpec, profiles: Sequence[Sequence[int]]) -> np.ndarray:
+    """Sum of the users' effective capacities in each profile.
+
+    Added in user order, so each entry equals
+    sum(utility(game, p, u) for u in range(N)) bit for bit.
+    """
+    return _sum_columns(profile_utilities(game, profiles))
 
 
 class BestResponseLimitError(RuntimeError):
@@ -579,10 +590,14 @@ def best_response_path(
     Each step picks a uniformly random user that has an improving deviation
     and moves it to its best channel (ties toward the lowest channel id).
     Raises BestResponseLimitError (carrying the last profile) if more than
-    `max_steps` improvements occur without reaching an equilibrium.
+    `max_steps` improvements occur without reaching an equilibrium, and
+    ValueError if `max_steps` is negative.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps!r}")
     prof, counts = map(list, _occupancy(game, start))
-    tables = _count_utility_tables(game, payoff)
+    classes, tables = count_tables(game, payoff, game.n_users)
+    tables = tables[classes]
     for step in range(max_steps + 1):
         improvers = [n for n, a in enumerate(prof) if _improvement(tables[n], a, counts, tol)]
         if not improvers:
@@ -664,7 +679,7 @@ def verify_potentials(game: GameSpec, zero_tol: float = TIE_TOL) -> PotentialRep
     cum_share[:, 1:] = np.cumsum(means[:, None] / np.arange(1, N + 1)[None, :], axis=1)
     share_potential = _sum_columns(cum_share[np.arange(M), states])
     if theta is not None:
-        table = _count_utility_tables(game, "capacity")[0]
+        table = count_tables(game, "capacity", N)[1][0]
         potential = _state_potentials(game, theta, states)
 
     step = np.eye(M, dtype=np.int64)

@@ -36,20 +36,21 @@ One that does not learn (`learns` false, the random baseline) never reads
 payoffs, so its `play` acts, contends and logs the whole chunk as
 [k, T, N] arrays. The held baseline's takers and ranks never change, so it
 only gathers each user's rate and tie-break.
+
+A finished block's closed-form EC is one gather from the game's count
+tables (`profile_utilities`), and `_score` reads each trial's empirical EC.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy import add, copyto, divide, exp, expm1, greater, maximum, minimum, multiply, subtract
 
-from specgame.capacity import effective_capacity
 from specgame.channels import RateSampler
-from specgame.game import Contention, GameSpec, congestion_counts, shared_rate_distribution
+from specgame.game import Contention, GameSpec, congestion_counts, profile_utilities
 from specgame.learning import Q_BOUND_SLACK, StepSchedule, check_estimates, check_simplex_rows
 
 # Byte budget of the per-slot payoff log of one untraced block of trials.
@@ -464,35 +465,14 @@ class RandomPolicy(Policy):
 POLICIES = {"learn": LearnPolicy, "sla": SLAPolicy, "random": RandomPolicy}
 
 
-def _closed_form(game: GameSpec):
-    """game.utility by (channel, takers, theta), memoized: the closed-form
-    EC of a user with exponent theta on the 1-based channel when that many
-    users take it."""
-
-    @functools.cache
-    def closed(channel: int, count: int, theta: float) -> float:
-        law = shared_rate_distribution(game.channels[channel - 1], count, game.contention)
-        return effective_capacity(law, theta)
-
-    return closed
-
-
 def _score(
-    config: SimConfig,
-    trial_index: int,
-    profile: tuple[int, ...],
-    conv_slot: int | None,
-    payoff_log: np.ndarray,
-    traces: TrialTraces | None,
-    closed,
-) -> TrialResult:
-    """Score one trial from its [slots, N] payoffs.
+    config: SimConfig, conv_slot: int | None, payoff_log: np.ndarray
+) -> tuple[float, ...]:
+    """The empirical EC of every user over one trial's [slots, N] payoffs.
 
-    The empirical EC of every user is empirical_effective_capacity on the
-    user's tail, all users at once: each user's series is one contiguous row,
-    so its sum is the pairwise sum of a 1-D array, and the log is the same
-    math.log. `closed(channel, count, theta)` is the closed-form EC of a user
-    on a channel with that many takers, from `_closed_form`.
+    Each user's value is empirical_effective_capacity on the user's tail, all
+    users at once: each user's series is one contiguous row, so its sum is
+    the pairwise sum of a 1-D array, and the log is the same math.log.
     """
     game = config.game
     if config.window is not None:
@@ -509,19 +489,7 @@ def _score(
     x -= shift[:, None]
     np.exp(x, out=x)
     logs = [math.log(total) for total in x.sum(axis=1).tolist()]
-    ec_emp = tuple((-(shift + logs - math.log(len(tail))) / thetas).tolist())
-    counts = congestion_counts(profile, game.n_channels)
-    ec_closed = tuple(
-        closed(a, counts[a - 1], theta) for a, theta in zip(profile, game.thetas)
-    )
-    return TrialResult(
-        trial=trial_index,
-        profile=profile,
-        conv_slot=conv_slot,
-        ec_closed=ec_closed,
-        ec_empirical=ec_emp,
-        traces=traces,
-    )
+    return tuple((-(shift + logs - math.log(len(tail))) / thetas).tolist())
 
 
 def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[TrialResult]:
@@ -608,7 +576,7 @@ def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[T
             conv[fresh] = start + hit.argmax(axis=0)[fresh] + 1
 
     finals = (state.p.argmax(axis=0) if policy.learns else actions[-1]) + 1
-    closed = _closed_form(game)
+    closed = profile_utilities(game, finals).tolist()
     results = []
     for t, index in enumerate(trials):
         if policy.learns:
@@ -623,10 +591,8 @@ def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[T
                 actions=trace_a[:, t],
                 payoffs=payoff_log[:, t],
             )
-        profile = tuple(int(a) for a in finals[t])
-        results.append(
-            _score(config, index, profile, conv_slot, payoff_log[:, t], traces, closed)
-        )
+        profile, ec_emp = tuple(finals[t].tolist()), _score(config, conv_slot, payoff_log[:, t])
+        results.append(TrialResult(index, profile, conv_slot, tuple(closed[t]), ec_emp, traces))
     return results
 
 

@@ -5,6 +5,11 @@ These are the profile-scan designs that `specgame.game` and
 algorithms. They are exponential in N and serve only to check the fast
 paths on small games.
 
+`effective_capacity` and `approx_utility` keep the capacity layer's scalar
+form, one exponent and one log_sum_exp at a time, from before it evaluated
+a rate law at several exponents at once. They are the references its
+payoffs must match bit for bit.
+
 The end of the file keeps the mean-field flow as it was written before
 its count law moved to a count-major layout in reused buffers:
 `others_count_law`, `ReferenceField` and `integrate`. They are the
@@ -20,14 +25,35 @@ from specgame.dynamics import IntegrationDivergedError, Trajectory, check_mixed_
 from specgame.game import (
     TIE_TOL,
     PotentialReport,
-    _count_utility_tables,
     _exp_term_table,
     _find_improvement,
     congestion_counts,
+    count_tables,
     ordinal_potential,
     surrogate_potential,
     utility,
 )
+
+
+def log_mgf_neg(dist, theta):
+    """log E[exp(-theta x)], max-shifted, with zero-probability values dropped."""
+    probs = np.asarray(dist.probs)
+    values = np.asarray(dist.values)
+    if probs.min() == 0.0:
+        keep = probs > 0.0
+        probs, values = probs[keep], values[keep]
+    x = -theta * values
+    shift = x.max()
+    terms = np.exp(x - shift)
+    return float(shift + math.log(np.dot(probs, terms)))
+
+
+def effective_capacity(dist, theta):
+    return -log_mgf_neg(dist, theta) / theta
+
+
+def approx_utility(dist, theta):
+    return -math.expm1(log_mgf_neg(dist, theta)) / theta
 
 
 def all_profiles(game):
@@ -36,7 +62,8 @@ def all_profiles(game):
 
 def enumerate_nash(game, tol=TIE_TOL, payoff="capacity"):
     """Every pure Nash profile, in lexicographic order, by checking each profile."""
-    tables = _count_utility_tables(game, payoff)
+    classes, tables = count_tables(game, payoff, game.n_users)
+    tables = tables[classes]
     return [
         prof
         for prof in all_profiles(game)
@@ -59,7 +86,8 @@ def verify_potentials(game, zero_tol=TIE_TOL):
     """The potential report, by walking every unilateral deviation of every profile."""
     N, M = game.n_users, game.n_channels
     theta = game.homogeneous_theta()
-    cap_tables = _count_utility_tables(game, "capacity")
+    classes, cap_tables = count_tables(game, "capacity", N)
+    cap_tables = cap_tables[classes]
     means = np.array([ch.law.mean() for ch in game.channels])
     cum_share = np.zeros((M, N + 1))
     cum_share[:, 1:] = np.cumsum(means[:, None] / np.arange(1, N + 1)[None, :], axis=1)
@@ -122,7 +150,8 @@ class FieldEvaluator:
         profiles = np.array(
             list(itertools.product(range(m), repeat=n)), dtype=int
         ).reshape(total, n)
-        tables = _count_utility_tables(game, "surrogate")
+        classes, tables = count_tables(game, "surrogate", n)
+        tables = tables[classes]
         util = np.empty((total, n))
         theta = game.homogeneous_theta()
         self.phi = np.full(total, np.nan)
@@ -178,7 +207,8 @@ class ReferenceField:
     """The [N, M, N] field: omega [N, M] and the expected surrogate potential."""
 
     def __init__(self, game):
-        self.tables = np.stack(_count_utility_tables(game, "surrogate"))  # [N, M, N]
+        classes, tables = count_tables(game, "surrogate", game.n_users)
+        self.tables = tables[classes]  # [N, M, N]
         self.theta = game.homogeneous_theta()
         if self.theta is not None:
             self.exp_terms = _exp_term_table(game, self.theta, game.n_users)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute_force
 from specgame.capacity import (
     RateDistribution,
+    _approx_utilities,
+    _effective_capacities,
     approx_utility,
     effective_capacity,
     empirical_effective_capacity,
@@ -149,6 +152,33 @@ class TestLogSumExp:
         # the unreachable rate 0 would shift by 0 and underflow every real term
         d = RateDistribution((0.0, 100.0), (0.0, 1.0))
         assert effective_capacity(d, 50.0) == pytest.approx(100.0, rel=1e-12)
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestExponentAxis:
+    """One rate law at several exponents at once, against the scalar
+    log_sum_exp form in brute_force.py, bit for bit."""
+
+    @given(
+        dist_strategy(min_states=1, max_states=8),
+        st.lists(st.floats(1e-4, 200.0), min_size=1, max_size=12),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_payoffs_keep_the_scalar_bits(self, d, thetas, unreachable):
+        if unreachable:
+            # a zero-probability state, which must not set the shift
+            d = RateDistribution(d.values + (d.values[-1] + 1.0,), d.probs + (0.0,))
+        axis = np.array(thetas)
+        want = [brute_force.effective_capacity(d, t) for t in thetas]
+        assert np.array_equal(bits(_effective_capacities(d, axis)), bits(want))
+        assert np.array_equal(bits([effective_capacity(d, t) for t in thetas]), bits(want))
+        want = [brute_force.approx_utility(d, t) for t in thetas]
+        assert np.array_equal(bits(_approx_utilities(d, axis)), bits(want))
+        assert np.array_equal(bits([approx_utility(d, t) for t in thetas]), bits(want))
 
 
 class TestApproxUtility:

@@ -130,6 +130,15 @@ class TestReplicatorRhs:
             assert np.all(rhs == 0.0)
             assert is_stationary(g, vertex_profile(g, prof), tol=0.0)
 
+    def test_vertex_profile_checks_the_profile(self):
+        g = twin_channel_game()
+        assert vertex_profile(g, (2, 1)).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        # channel 0 would wrap round to the last channel
+        with pytest.raises(ValueError, match=r"channel ids in 1\.\.2"):
+            vertex_profile(g, (0, 1))
+        with pytest.raises(ValueError, match="1 entries for 2 users"):
+            vertex_profile(g, (1,))
+
     def test_symmetric_uniform_point_is_stationary(self):
         g = twin_channel_game()
         assert np.all(replicator_rhs(g, np.full((2, 2), 0.5)) == 0.0)

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_game
+from conftest import random_channels, random_game
 from specgame.channels import ChannelSpec
 from specgame.game import (
+    TIE_TOL,
     BestResponseLimitError,
     Contention,
     GameSpec,
     best_response_path,
     congestion_counts,
+    count_tables,
     enumerate_nash,
     expected_rate_share,
     is_nash,
@@ -25,6 +27,7 @@ from specgame.game import (
     surrogate_potential,
     surrogate_utility,
     total_utility,
+    profile_utilities,
     user_rate_distribution,
     utility,
     verify_potentials,
@@ -240,6 +243,127 @@ class TestPotentials:
         assert ordinal_potential(g, a) == ordinal_potential(g, b)
 
 
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def mixed_game(seed, n_users=(2, 6), n_channels=(2, 5), contention=None):
+    """A random game whose users draw their exponents from three, far apart."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(*n_users)), int(rng.integers(*n_channels))
+    if contention is None:
+        contention = list(Contention)[int(rng.integers(2))]
+    thetas = tuple(float(t) for t in rng.choice((1e-2, 0.5, 4.0), size=n))
+    return rng, GameSpec(thetas=thetas, channels=random_channels(rng, m), contention=contention)
+
+
+class TestCountTables:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        common=st.booleans(),
+        contention=st.sampled_from(list(Contention)),
+        payoff=st.sampled_from(["capacity", "surrogate"]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_entries_are_the_payoff_of_a_user_of_the_class(
+        self, seed, common, contention, payoff, data
+    ):
+        rng, g = mixed_game(seed, contention=contention)
+        if common:
+            g = GameSpec(thetas=(g.thetas[0],) * g.n_users, channels=g.channels, contention=contention)
+        N, M = g.n_users, g.n_channels
+        upto = data.draw(st.integers(1, N))
+        classes, tables = count_tables(g, payoff, upto)
+        order = list(dict.fromkeys(g.thetas))  # exponents by first user
+        assert classes.tolist() == [order.index(t) for t in g.thetas]
+        assert tables.shape == (len(order), M, upto)
+        direct = utility if payoff == "capacity" else surrogate_utility
+        for k in range(len(order)):
+            users = np.flatnonzero(classes == k)
+            for m in range(1, M + 1):
+                for c in range(1, upto + 1):
+                    # a random user of the class and c - 1 others on channel m,
+                    # the rest on another channel
+                    user = int(rng.choice(users))
+                    others = rng.permutation([u for u in range(N) if u != user])
+                    profile = [m % M + 1] * N
+                    for u in [user, *others[: c - 1]]:
+                        profile[u] = m
+                    want = direct(g, profile, user)
+                    assert bits(tables[k, m - 1, c - 1]) == bits(want)
+
+    def test_refuses_unknown_payoffs_and_widths(self):
+        g = twin_channel_game()
+        with pytest.raises(ValueError, match="unknown payoff 'rate'"):
+            count_tables(g, "rate", 2)
+        for upto in (0, 3):
+            with pytest.raises(ValueError, match=r"upto must be in 1\.\.2"):
+                count_tables(g, "capacity", upto)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_profile_utilities_are_utility(self, seed):
+        rng, g = mixed_game(seed, n_channels=(1, 4))
+        profiles = rng.integers(1, g.n_channels + 1, (int(rng.integers(1, 6)), g.n_users))
+        got = profile_utilities(g, profiles)
+        want = [[utility(g, p, u) for u in range(g.n_users)] for p in profiles]
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(total_utility(g, profiles), [sum(row) for row in want])
+
+
+def deviation_scan(g, profile, tol=TIE_TOL):
+    """(user, channel, gain) of the first improving move, by utility(), or None."""
+    profile = tuple(profile)
+    for n in range(g.n_users):
+        base = utility(g, profile, n)
+        for b in range(1, g.n_channels + 1):
+            moved = profile[:n] + (b,) + profile[n + 1 :]
+            if b != profile[n] and utility(g, moved, n) > base + tol:
+                return n, b, utility(g, moved, n) - base
+    return None
+
+
+class TestMixedExponents:
+    """is_nash and best_response_path on games whose users differ in
+    exponent, against deviation scans by utility()."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_is_nash_matches_a_deviation_scan(self, seed):
+        rng, g = mixed_game(seed, n_users=(2, 5), n_channels=(2, 4))
+        for prof in itertools.product(range(1, g.n_channels + 1), repeat=g.n_users):
+            got, want = is_nash(g, prof), deviation_scan(g, prof)
+            assert got.is_nash == (want is None)
+            if want is not None:
+                assert (got.user, got.better_channel) == want[:2]
+                assert got.gain == pytest.approx(want[2], abs=1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_best_response_path_ends_where_no_user_improves(self, seed):
+        rng, g = mixed_game(seed)
+        start = tuple(int(a) for a in rng.integers(1, g.n_channels + 1, g.n_users))
+        res = best_response_path(g, start, rng, max_steps=50 * g.n_users * g.n_channels)
+        assert deviation_scan(g, res.profile) is None
+
+    def test_classes_keep_their_own_preferences(self):
+        # a steady channel against a bursty one of twice the mean: the patient
+        # user takes the bursty one and the strict user the steady one, so
+        # swapping the two classes' tables would turn the equilibrium round
+        channels = (
+            ChannelSpec(id=1, rates=(2.0,), probs=(1.0,)),
+            ChannelSpec(id=2, rates=(0.0, 8.0), probs=(0.5, 0.5)),
+        )
+        g = GameSpec(thetas=(0.01, 4.0), channels=channels)
+        assert is_nash(g, (2, 1)).is_nash
+        res = is_nash(g, (1, 2))
+        assert (res.is_nash, res.user, res.better_channel) == (False, 1, 1)
+        path = best_response_path(g, (1, 2), np.random.default_rng(0), max_steps=4)
+        assert path.profile == (2, 1)
+        assert enumerate_nash(g) == [(2, 1)]
+
+
 class TestNash:
     def test_twin_channel_equilibria(self):
         g = twin_channel_game()
@@ -363,6 +487,12 @@ class TestBestResponsePath:
         res = best_response_path(g, (1, 2), rng, max_steps=10)
         assert res.profile == (1, 2)
         assert res.steps == 0
+
+    def test_refuses_a_negative_step_limit(self):
+        g = twin_channel_game()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="max_steps must be >= 0, got -1"):
+            best_response_path(g, (1, 2), rng, max_steps=-1)
 
     def test_limit_error_carries_profile(self):
         g = twin_channel_game()

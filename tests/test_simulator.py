@@ -377,7 +377,9 @@ class TestLearnerChunks:
 
 
 class TestBlockScoring:
-    """_score against the per-user scalar functions, bit for bit."""
+    """Scoring against the per-user scalar functions, bit for bit: _score's
+    empirical EC, and the closed-form EC that _run_block gathers from the
+    count tables."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -388,9 +390,7 @@ class TestBlockScoring:
         trials=st.integers(1, 3),
         model=st.sampled_from(list(Contention)),
     )
-    def test_matches_empirical_capacity_and_utility(
-        self, seed, slots, window, conv_slot, trials, model
-    ):
+    def test_matches_empirical_capacity(self, seed, slots, window, conv_slot, trials, model):
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(1, 7)), int(rng.integers(1, 5))
         # distinct exponents, up to theta * rate of about 700
@@ -401,9 +401,7 @@ class TestBlockScoring:
         # slot-major like the engine's log, read one trial at a time
         log = rng.uniform(0.0, 14.0, (slots, trials, n))
         log[rng.random(log.shape) < 0.3] = 0.0
-        profile = tuple(int(a) for a in rng.integers(1, m + 1, n))
-        closed = simulator._closed_form(game)
-        got = simulator._score(config, 0, profile, conv_slot, log[:, trials - 1], None, closed)
+        got = simulator._score(config, conv_slot, log[:, trials - 1])
         if window is not None:
             burn_in = slots - window
         elif conv_slot is not None:
@@ -412,10 +410,7 @@ class TestBlockScoring:
             burn_in = slots // 2
         tail = log[burn_in:, trials - 1]
         want = [empirical_effective_capacity(tail[:, u], thetas[u]) for u in range(n)]
-        assert np.array_equal(bits(got.ec_empirical), bits(want))
-        want = [utility(game, profile, u) for u in range(n)]
-        assert np.array_equal(bits(got.ec_closed), bits(want))
-        assert got.agg_ec_closed == sum(want)
+        assert np.array_equal(bits(got), bits(want))
 
     @pytest.mark.parametrize("slots", [1, 2, 8191, 8192, 8193, 20000])
     def test_one_slot_and_long_tails(self, slots):
@@ -423,11 +418,37 @@ class TestBlockScoring:
         game = GameSpec(thetas=(0.01, 50.0, 1.0), channels=TWIN.channels)
         config = SimConfig(game=game, iterations=slots, window=slots)
         log = rng.uniform(0.0, 14.0, (slots, 2, 3))
-        got = simulator._score(
-            config, 0, (1, 1, 2), None, log[:, 1], None, simulator._closed_form(game)
-        )
+        got = simulator._score(config, None, log[:, 1])
         want = [empirical_effective_capacity(log[:, 1, u], game.thetas[u]) for u in range(3)]
-        assert np.array_equal(bits(got.ec_empirical), bits(want))
+        assert np.array_equal(bits(got), bits(want))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        algorithm=st.sampled_from(["learn", "sla", "random"]),
+        model=st.sampled_from(list(Contention)),
+        one_channel=st.booleans(),
+    )
+    def test_closed_form_is_utility_across_blocks(self, seed, algorithm, model, one_channel):
+        # mixed exponents, three trials to a block; at M = 1 every user
+        # shares the one channel, so the gather runs N columns wide
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 6)), 1 if one_channel else int(rng.integers(2, 4))
+        thetas = tuple(float(t) for t in rng.choice([0.01, 0.5, 3.0], n))
+        game = replace(random_game(rng, n_users=n, n_channels=m, contention=model), thetas=thetas)
+        cfg = SimConfig(
+            game=game, iterations=40, trials=7, base_seed=seed, lam=0.3, algorithm=algorithm
+        )
+        with (
+            mock.patch.object(simulator, "BLOCK_BYTES", 3 * 8 * n * cfg.iterations),
+            mock.patch.object(simulator, "_run_block", wraps=simulator._run_block) as block,
+        ):
+            results = run_experiment(cfg).results
+        assert [len(c.args[1]) for c in block.call_args_list] == [3, 3, 1]
+        for r in results:
+            want = [utility(game, r.profile, u) for u in range(n)]
+            assert np.array_equal(bits(r.ec_closed), bits(want))
+            assert r.agg_ec_closed == sum(want)
 
 
 DOMINANT = GameSpec(
