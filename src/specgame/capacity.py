@@ -82,41 +82,42 @@ def log_sum_exp(x: np.ndarray, weights: np.ndarray | None = None) -> float:
     return float(shift + math.log(total))
 
 
-def _log_mgf_neg(dist: RateDistribution, thetas: np.ndarray) -> np.ndarray:
-    # log E[exp(-theta x)] for each of `thetas` [K], evaluated in log space so
+def _log_mgf_neg(dist: RateDistribution, thetas: Sequence[float]) -> list[float]:
+    # log E[exp(-theta x)] for each of `thetas`, evaluated in log space so
     # large theta*x cannot underflow the whole expectation to zero.
     # Zero-probability values are dropped: they must not set the shift. Each
     # row is log_sum_exp's: one np.dot and math.log per exponent, since a
     # matrix product may add in another order.
     probs = np.asarray(dist.probs)
     values = np.asarray(dist.values)
-    if probs.min() == 0.0:
+    if 0.0 in dist.probs:
         keep = probs > 0.0
         probs, values = probs[keep], values[keep]
-    x = np.multiply.outer(-thetas, values)
-    shift = x.max(axis=1)
-    terms = np.exp(x - shift[:, None])
-    return shift + [math.log(np.dot(probs, row)) for row in terms]
+    x = np.multiply.outer(thetas, -values)
+    shift = np.maximum.reduce(x, axis=1, keepdims=True)
+    np.subtract(x, shift, out=x)
+    np.exp(x, out=x)
+    return [s + math.log(np.dot(probs, row)) for s, row in zip(shift.ravel().tolist(), x)]
 
 
-def _effective_capacities(dist: RateDistribution, thetas: np.ndarray) -> np.ndarray:
-    """effective_capacity of `dist` at each of `thetas` [K], unchecked."""
-    return -_log_mgf_neg(dist, thetas) / thetas
+def _effective_capacities(dist: RateDistribution, thetas: Sequence[float]) -> list[float]:
+    """effective_capacity of `dist` at each of `thetas`, unchecked."""
+    return [-v / t for v, t in zip(_log_mgf_neg(dist, thetas), thetas)]
 
 
-def _approx_utilities(dist: RateDistribution, thetas: np.ndarray) -> np.ndarray:
-    """approx_utility of `dist` at each of `thetas` [K], unchecked."""
-    return -np.array([math.expm1(v) for v in _log_mgf_neg(dist, thetas).tolist()]) / thetas
+def _approx_utilities(dist: RateDistribution, thetas: Sequence[float]) -> list[float]:
+    """approx_utility of `dist` at each of `thetas`, unchecked."""
+    return [-math.expm1(v) / t for v, t in zip(_log_mgf_neg(dist, thetas), thetas)]
 
 
 def effective_capacity(dist: RateDistribution, theta: float) -> float:
     """C(theta) = -(1/theta) log E[exp(-theta x)]."""
-    return float(_effective_capacities(dist, np.array(check_exponents((theta,))))[0])
+    return _effective_capacities(dist, check_exponents((theta,)))[0]
 
 
 def approx_utility(dist: RateDistribution, theta: float) -> float:
     """A(theta) = (1 - E[exp(-theta x)]) / theta, the first-order surrogate."""
-    return float(_approx_utilities(dist, np.array(check_exponents((theta,))))[0])
+    return _approx_utilities(dist, check_exponents((theta,)))[0]
 
 
 def payoff_transform(rate, theta):

@@ -209,8 +209,8 @@ def _sum_columns(values: np.ndarray) -> np.ndarray:
 def _log_phi(game: GameSpec, counts: Sequence[int], theta: float) -> float:
     """log phi of an occupancy state, in log space as effective capacity is."""
     pairs = zip(game.channels, counts)
-    x = [_log_mgf_neg(ch.law, theta / np.arange(1, c + 1)) for ch, c in pairs]
-    return log_sum_exp(np.concatenate(x))
+    x = [v for ch, c in pairs for v in _log_mgf_neg(ch.law, [theta / l for l in range(1, c + 1)])]
+    return log_sum_exp(np.array(x))
 
 
 def _require_homogeneous(game: GameSpec) -> float:
@@ -244,7 +244,7 @@ def surrogate_potential(game: GameSpec, profile: Sequence[int]) -> float:
 
 # --- pure-strategy equilibrium tooling -------------------------------------
 
-_PAYOFFS: dict[str, Callable[[RateDistribution, np.ndarray], np.ndarray]] = {
+_PAYOFFS: dict[str, Callable[[RateDistribution, list[float]], list[float]]] = {
     "capacity": _effective_capacities,
     "surrogate": _approx_utilities,
 }
@@ -269,7 +269,7 @@ def count_tables(game: GameSpec, payoff: str, upto: int) -> tuple[np.ndarray, np
         raise ValueError(f"upto must be in 1..{game.n_users}, got {upto!r}")
     first: dict[float, int] = {}
     classes = np.array([first.setdefault(t, len(first)) for t in game.thetas])
-    thetas = np.array(list(first))
+    thetas = list(first)
     tables = np.empty((len(thetas), game.n_channels, upto))
     for mi, ch in enumerate(game.channels):
         for c in range(1, upto + 1):

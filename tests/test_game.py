@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,12 +23,12 @@ from specgame.game import (
     occupancy_vectors,
     ordinal_potential,
     potential_maximizer,
+    profile_utilities,
     rosenthal_potential,
     shared_rate_distribution,
     surrogate_potential,
     surrogate_utility,
     total_utility,
-    profile_utilities,
     user_rate_distribution,
     utility,
     verify_potentials,
@@ -271,7 +272,7 @@ class TestCountTables:
     ):
         rng, g = mixed_game(seed, contention=contention)
         if common:
-            g = GameSpec(thetas=(g.thetas[0],) * g.n_users, channels=g.channels, contention=contention)
+            g = replace(g, thetas=(g.thetas[0],) * g.n_users)
         N, M = g.n_users, g.n_channels
         upto = data.draw(st.integers(1, N))
         classes, tables = count_tables(g, payoff, upto)
