@@ -102,7 +102,8 @@ def _log_mgf_neg(dist: RateDistribution, thetas: Sequence[float]) -> list[float]
 
 def _effective_capacities(dist: RateDistribution, thetas: Sequence[float]) -> list[float]:
     """effective_capacity of `dist` at each of `thetas`, unchecked."""
-    return [-v / t for v, t in zip(_log_mgf_neg(dist, thetas), thetas)]
+    # 0.0 - v, not -v: a law with no positive rate has capacity 0.0, not -0.0
+    return [(0.0 - v) / t for v, t in zip(_log_mgf_neg(dist, thetas), thetas)]
 
 
 def _approx_utilities(dist: RateDistribution, thetas: Sequence[float]) -> list[float]:
@@ -137,7 +138,7 @@ def empirical_effective_capacity(samples: Sequence[float], theta: float) -> floa
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one sample")
-    return -(log_sum_exp(-theta * arr) - math.log(arr.size)) / theta
+    return (math.log(arr.size) - log_sum_exp(-theta * arr)) / theta
 
 
 def taylor_diagnostic(dist: RateDistribution, theta: float) -> tuple[float, float]:

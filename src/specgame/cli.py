@@ -16,8 +16,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import fields, replace
-from itertools import chain
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +31,7 @@ from specgame.config import (
     preset_config,
 )
 from specgame.dynamics import integrate
-from specgame.game import (
-    TIE_TOL,
-    Contention,
-    enumerate_nash,
-    potential_maximizer,
-    total_utility,
-    verify_potentials,
-)
+from specgame.game import TIE_TOL, Contention, analyze
 from specgame.plots import (
     aggregate_chart,
     estimate_chart,
@@ -142,26 +134,34 @@ _SCALARS = {int, float, bool, type(None)}
 def _json_items(items) -> str:
     """List items two levels deep, each on its lines as indent=2 writes them.
 
-    Finite floats are their _reprs, which reuse the string of an item equal
-    bit for bit to the one before it. Other numbers, and lists of numbers, go
-    through the C encoder and are indented by replacing its separators, which
-    no number contains; anything else, strings above all, is encoded item by
-    item with indent=2.
+    An integer array [k, W] is k rows of W numbers, joined from a table that
+    holds each value in its range once followed by the separator after it:
+    one within a row, one at its end. Finite floats are their _reprs, one
+    per bit pattern. Other numbers go through the C encoder and are indented
+    by replacing its separators, which no number contains; anything else,
+    lists and strings above all, is encoded item by item with indent=2.
     """
+    if isinstance(items, np.ndarray):
+        # the range spans 0 too, so that an array of no entries takes tolist()
+        lo, hi = int(items.min(initial=0)), int(items.max(initial=0))
+        if hi - lo < items.size:
+            digits = [str(v) for v in range(lo, hi + 1)]
+            end = "\n    ],\n    [\n      "  # from a row's last number to the next row's first
+            table = np.array([d + sep for sep in (",\n      ", end) for d in digits], dtype=object)
+            codes = items.astype(np.intp) - lo
+            codes[:, -1] += len(digits)
+            text = "".join(table[codes].ravel().tolist())
+            return "[\n      " + text[: -len(end)] + "\n    ]"
+        items = items.tolist()
     kinds = set(map(type, items))
     if kinds == {float}:
         values = np.array(items)
         if np.isfinite(values).all():
-            return ",\n    ".join(_reprs(values))
+            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+            cells = np.array(_reprs(bits.view(float)), dtype=object)
+            return ",\n    ".join(cells[inverse].tolist())
     if kinds <= _SCALARS:
         return json.dumps(items)[1:-1].replace(", ", ",\n    ")
-    if (
-        kinds <= {list, tuple}
-        and all(items)
-        and set(map(type, chain.from_iterable(items))) <= _SCALARS
-    ):
-        rows = json.dumps(items)[2:-2].replace("], [", "\n    ],\n    [\n      ")
-        return "[\n      " + rows.replace(", ", ",\n      ") + "\n    ]"
     return ",\n    ".join(json.dumps(item, indent=2).replace("\n", "\n    ") for item in items)
 
 
@@ -169,22 +169,23 @@ def _write_json(path: Path, doc: dict[str, object]) -> None:
     """The bytes of json.dumps(doc, indent=2) and a newline, one key at a time.
 
     json.dumps with an indent always runs the pure-Python encoder, one write
-    per token. Here a list is written JSON_ITEMS items at a time through
-    _json_items, and any other value is json.dumps(value, indent=2) shifted
-    one level.
+    per token. Here a list or an integer array [P, W], written as its tolist(),
+    goes JSON_ITEMS items at a time through _json_items, and any other value
+    is json.dumps(value, indent=2) shifted one level.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("{")
         for i, (key, value) in enumerate(doc.items()):
             fh.write(f"{',' if i else ''}\n  {json.dumps(key)}: ")
-            if isinstance(value, (list, tuple)) and value:
+            if isinstance(value, (list, tuple, np.ndarray)) and len(value):
                 fh.write("[\n    ")
                 for start in range(0, len(value), JSON_ITEMS):
                     fh.write(",\n    " if start else "")
                     fh.write(_json_items(value[start : start + JSON_ITEMS]))
                 fh.write("\n  ]")
             else:
-                fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+                text = json.dumps(value, indent=2, default=np.ndarray.tolist)
+                fh.write(text.replace("\n", "\n  "))
         fh.write("\n}\n" if doc else "}\n")
 
 
@@ -209,20 +210,14 @@ def _load(args) -> ExperimentConfig:
 
 def cmd_analyze(cfg: ExperimentConfig, out: Path, args) -> int:
     game = cfg.sim.game
-    profiles = enumerate_nash(game)
-    aggregates = total_utility(game, profiles).tolist()
-    report = verify_potentials(game)
-    maximizer = None
-    if game.homogeneous_theta() is not None:
-        maximizer = potential_maximizer(game)
+    profiles, aggregates, report, maximizer = analyze(game)
     note = maximizer is not None and game.contention is Contention.SLOT_WINNER
     best, best_profile = None, None
-    if profiles:
+    if len(profiles):
         # equilibria of equal welfare differ in rounding only: take the first,
         # in enumerate_nash's lexicographic order, within TIE_TOL of the best
-        best = max(aggregates)
-        floor = best - TIE_TOL * abs(best)
-        best_profile = next(p for p, a in zip(profiles, aggregates) if a >= floor)
+        best = float(aggregates.max())
+        best_profile = profiles[np.argmax(aggregates >= best - TIE_TOL * abs(best))].tolist()
     analysis = {
         "n_users": game.n_users,
         "n_channels": game.n_channels,
@@ -230,18 +225,12 @@ def cmd_analyze(cfg: ExperimentConfig, out: Path, args) -> int:
         "thetas": game.thetas,
         "nash_count": len(profiles),
         "nash_profiles": profiles,
-        "nash_aggregate_ec": aggregates,
+        "nash_aggregate_ec": aggregates.tolist(),
         "best_nash_profile": best_profile,
         "best_nash_aggregate_ec": best,
         "potential_maximizer": maximizer,
         **({"potential_note": FAIR_SHARE_NOTE} if note else {}),
-        "potential_check": {
-            "exhaustive": report.exhaustive,
-            "deviations_checked": report.deviations_checked,
-            "epg_max_abs_error": report.epg_max_abs_error,
-            "opg_sign_disagreements": report.opg_sign_disagreements,
-            "opg_zero_mismatches": report.opg_zero_mismatches,
-        },
+        "potential_check": asdict(report),
     }
     _write_json(out / "analysis.json", analysis)
     best_txt = f", best aggregate EC {best:.4f}" if best is not None else ""

@@ -17,7 +17,8 @@ exponent class and a [K, M, upto] payoff table per class. Every equilibrium
 check, the potential check and the mean-field field read it, and utilities
 of whole profiles are one gather, tables[classes, a - 1, c - 1]. Equilibria
 and the potential maximizer scan occupancy counts per exponent class, never
-all M**N profiles.
+all M**N profiles. `analyze` gives the equilibria, their aggregates, the
+potential check and the maximizer from one kernel and one set of states.
 """
 
 from __future__ import annotations
@@ -413,10 +414,7 @@ def _equilibrium_states(
 
 
 def _multinomial(counts: Sequence[int]) -> int:
-    out = math.factorial(sum(counts))
-    for c in counts:
-        out //= math.factorial(c)
-    return out
+    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
 
 
 def _arrangements(counts: Sequence[int], dtype) -> np.ndarray:
@@ -478,6 +476,16 @@ def _expand(
     return profiles[np.lexsort(profiles.T[::-1])]
 
 
+def _equilibria(game: GameSpec, classes: np.ndarray, tables: np.ndarray, tol: float):
+    """enumerate_nash's profiles of the kernel's game as [P, N] 0-based
+    channels, and each class's occupancy rows."""
+    members = [np.flatnonzero(classes == k) for k in range(len(tables))]
+    _check_state_count([len(users) for users in members], game.n_channels)
+    occupancy = [occupancy_vectors(len(users), game.n_channels) for users in members]
+    states = _equilibrium_states(occupancy, list(tables), tol)
+    return _expand(members, occupancy, states, game.n_users), occupancy
+
+
 def enumerate_nash(
     game: GameSpec,
     tol: float = TIE_TOL,
@@ -491,12 +499,7 @@ def enumerate_nash(
     states are expanded into profiles. Refuses, naming the limit, when the
     states to scan exceed STATE_LIMIT or the profiles to list PROFILE_LIMIT.
     """
-    classes, tables = count_tables(game, payoff, game.n_users)
-    members = [np.flatnonzero(classes == k) for k in range(len(tables))]
-    _check_state_count([len(users) for users in members], game.n_channels)
-    occupancy = [occupancy_vectors(len(users), game.n_channels) for users in members]
-    states = _equilibrium_states(occupancy, list(tables), tol)
-    profiles = _expand(members, occupancy, states, game.n_users)
+    profiles = _equilibria(game, *count_tables(game, payoff, game.n_users), tol)[0]
     return list(zip(*(profiles.T + 1).tolist()))
 
 
@@ -519,13 +522,15 @@ def potential_maximizer(game: GameSpec) -> ActionProfile:
     follows fair sharing whatever the game's contention model.
     """
     theta = _require_homogeneous(game)
-    N, M = game.n_users, game.n_channels
-    _check_state_count([N], M)
-    states = occupancy_vectors(N, M)
-    potential = _state_potentials(game, theta, states)
+    _check_state_count([game.n_users], game.n_channels)
+    states = occupancy_vectors(game.n_users, game.n_channels)
+    return _maximizer(states, _state_potentials(game, theta, states))
+
+
+def _maximizer(states: np.ndarray, potential: np.ndarray) -> ActionProfile:
     ties = states[potential == potential.max()]
     # a state's first profile puts its users on channels in ascending order
-    return min(tuple(np.repeat(np.arange(1, M + 1), x).tolist()) for x in ties)
+    return min(tuple(np.repeat(np.arange(1, len(x) + 1), x).tolist()) for x in ties)
 
 
 def profile_utilities(game: GameSpec, profiles: Sequence[Sequence[int]]) -> np.ndarray:
@@ -544,13 +549,16 @@ def profile_utilities(game: GameSpec, profiles: Sequence[Sequence[int]]) -> np.n
         raise ValueError(f"each profile must list {N} channel ids")
     if prof.min() < 0 or prof.max() >= M:
         raise ValueError(f"profile entries must be channel ids in 1..{M}")
-    # occupancy counts in the smallest integer type that holds N: they set
-    # the peak memory of analyze on the largest presets
-    dtype = np.min_scalar_type(N)
-    counts = np.stack([(prof == m).sum(axis=1, dtype=dtype) for m in range(M)], axis=1)
-    own = np.take_along_axis(counts, prof, axis=1)
+    own = _own_counts(prof, M)
     classes, tables = count_tables(game, "capacity", int(own.max()))
     return tables[classes, prof, own - 1]
+
+
+def _own_counts(prof: np.ndarray, channels: int) -> np.ndarray:
+    """The number of users on each user's channel in 0-based profiles [P, N]."""
+    size = len(prof) * channels
+    cells = np.arange(0, size, channels)[:, None] + prof  # (profile, channel) pairs
+    return np.bincount(cells.ravel(), minlength=size)[cells]
 
 
 def total_utility(game: GameSpec, profiles: Sequence[Sequence[int]]) -> np.ndarray:
@@ -633,21 +641,23 @@ class PotentialReport:
     opg_zero_mismatches: int | None
 
 
-def _lex_rank(rows: np.ndarray, users: int) -> np.ndarray:
-    """Row index of each occupancy row [K, M] in occupancy_vectors(users, M).
+def _lex_rank(rows: np.ndarray, ways: np.ndarray) -> np.ndarray:
+    """Row index of each occupancy row [K, M] in occupancy_vectors(users, M),
+    given ways[L, k] = C(L+k-1, k-1) for L = 0..users and k = 0..M.
 
     A row is preceded by every row that agrees with it before some channel i
     and has fewer users on i: ways[L, M-i] - ways[L - c_i, M-i] of them, where
-    L users are left for channels i.. and ways[L, k] = C(L+k-1, k-1).
+    L users are left for channels i..
     """
     M = rows.shape[1]
-    ways = np.ones((users + 1, M + 1), dtype=np.int64)
-    for k in range(2, M + 1):
-        ways[:, k] = np.cumsum(ways[:, k - 1])
-    after = users - np.cumsum(rows[:, :-1], axis=1, dtype=np.int64)
-    before = np.hstack([np.full((len(rows), 1), users), after[:, :-1]])
-    parts = np.arange(M, 1, -1)  # channels i.. for i = 0..M-2
-    return (ways[before, parts] - ways[after, parts]).sum(axis=1)
+    rank = np.zeros(len(rows), dtype=np.int64)
+    left = np.full(len(rows), len(ways) - 1, dtype=np.int64)
+    for i in range(M - 1):
+        column = ways[:, M - i]
+        rank += column[left]
+        left -= rows[:, i]
+        rank -= column[left]
+    return rank
 
 
 def verify_potentials(game: GameSpec, zero_tol: float = TIE_TOL) -> PotentialReport:
@@ -661,54 +671,81 @@ def verify_potentials(game: GameSpec, zero_tol: float = TIE_TOL) -> PotentialRep
     disagreements; the potential algebra matches fair sharing.
 
     Every delta depends only on the occupancy counts c and the move a -> b,
-    so the scan runs over occupancy states, one move at a time. A state's
-    move counts multinomial(N; c) * c_a times, once per profile-level
+    so the scan runs over occupancy states, all moves of a state at once. A
+    state's move counts multinomial(N; c) * c_a times, once per profile-level
     deviation, so all M**N * N * (M-1) of them are covered exactly.
     """
+    _check_state_count([game.n_users], game.n_channels)
+    states = occupancy_vectors(game.n_users, game.n_channels)
+    tables = count_tables(game, "capacity", game.n_users)[1]
+    return _deviation_report(game, tables, states, zero_tol)[0]
+
+
+def _deviation_report(game: GameSpec, tables: np.ndarray, states: np.ndarray, zero_tol: float):
+    """verify_potentials' report and the states' ordinal potentials (None
+    without a common exponent), from the game's full-width count tables and
+    its states, occupancy_vectors(N, M), about SCAN_BYTES of moves at a time."""
     N, M = game.n_users, game.n_channels
-    _check_state_count([N], M)
-    states = occupancy_vectors(N, M)
+    theta = game.homogeneous_theta()
+    potential = None if theta is None else _state_potentials(game, theta, states)
     checked = M**N * N * (M - 1)
     # exact integer weights: int64 only where no sum can overflow it
     dtype = np.int64 if checked < 2**63 else object
     weights = np.array([_multinomial(x) for x in states.tolist()], dtype=dtype)
-
-    theta = game.homogeneous_theta()
     means = np.array([ch.law.mean() for ch in game.channels])
     cum_share = np.zeros((M, N + 1))
     cum_share[:, 1:] = np.cumsum(means[:, None] / np.arange(1, N + 1)[None, :], axis=1)
     share_potential = _sum_columns(cum_share[np.arange(M), states])
-    if theta is not None:
-        table = count_tables(game, "capacity", N)[1][0]
-        potential = _state_potentials(game, theta, states)
 
+    ways = np.ones((N + 1, M + 1), dtype=np.int64)
+    for k in range(2, M + 1):
+        ways[:, k] = np.cumsum(ways[:, k - 1])
+    a, b = np.nonzero(~np.eye(M, dtype=bool))  # every move a -> b
     step = np.eye(M, dtype=np.int64)
+    step = step[b] - step[a]
+    # a state makes at most M * (M - 1) moves, each about M + 16 8-byte values
+    chunk = max(1, SCAN_BYTES // (8 * M * M * (M + 16)))
     epg_max = 0.0
     sign_bad = zero_bad = 0
-    for a in range(M):
-        src = np.flatnonzero(states[:, a])
-        x = states[src].astype(np.int64)
-        movers = weights[src] * x[:, a]
-        for b in range(M):
-            if b == a:
-                continue
-            moved = x - step[a] + step[b]
-            dst = _lex_rank(moved, N)
-            d_share = means[b] / moved[:, b] - means[a] / x[:, a]
-            d_phi_share = share_potential[dst] - share_potential[src]
-            epg_max = max(epg_max, float(np.abs(d_share - d_phi_share).max()))
-            if theta is not None:
-                d_util = table[b, x[:, b]] - table[a, x[:, a] - 1]
-                d_phi_ord = potential[dst] - potential[src]
-                u_zero = np.abs(d_util) <= zero_tol
-                p_zero = np.abs(d_phi_ord) <= zero_tol
-                zero_bad += int(movers[u_zero != p_zero].sum())
-                flipped = ~u_zero & ~p_zero & ((d_util > 0) != (d_phi_ord > 0))
-                sign_bad += int(movers[flipped].sum())
-    return PotentialReport(
+    for start in range(0, len(states), chunk):
+        x = states[start : start + chunk].astype(np.int64)
+        s, p = np.nonzero(x[:, a])  # each state's moves off an occupied channel
+        src, xa, xb = s + start, x[s, a[p]], x[s, b[p]]
+        dst = _lex_rank(x[s] + step[p], ways)
+        d_share = means[b[p]] / (xb + 1) - means[a[p]] / xa
+        d_phi_share = share_potential[dst] - share_potential[src]
+        epg_max = float(np.abs(d_share - d_phi_share).max(initial=epg_max))
+        if potential is not None:
+            movers = weights[src] * xa
+            d_util = tables[0, b[p], xb] - tables[0, a[p], xa - 1]
+            d_phi_ord = potential[dst] - potential[src]
+            u_zero = np.abs(d_util) <= zero_tol
+            p_zero = np.abs(d_phi_ord) <= zero_tol
+            zero_bad += int(movers[u_zero != p_zero].sum())
+            flipped = ~u_zero & ~p_zero & ((d_util > 0) != (d_phi_ord > 0))
+            sign_bad += int(movers[flipped].sum())
+    report = PotentialReport(
         exhaustive=True,
         deviations_checked=checked,
         epg_max_abs_error=epg_max,
         opg_sign_disagreements=sign_bad if theta is not None else None,
         opg_zero_mismatches=zero_bad if theta is not None else None,
     )
+    return report, potential
+
+
+def analyze(game: GameSpec) -> tuple[np.ndarray, np.ndarray, PotentialReport, ActionProfile | None]:
+    """enumerate_nash as a [P, N] array of channel ids, total_utility of its
+    rows, verify_potentials and potential_maximizer (None without a common
+    exponent), each equal to what those functions return, from one capacity
+    kernel and, with a common exponent, one set of state potentials.
+    """
+    classes, tables = count_tables(game, "capacity", game.n_users)
+    profiles, occupancy = _equilibria(game, classes, tables, TIE_TOL)
+    aggregates = _sum_columns(tables[classes, profiles, _own_counts(profiles, game.n_channels) - 1])
+    # one class's occupancy rows are the states; _equilibria has admitted the
+    # product of several classes' row counts, which is at least C(N+M-1, M-1)
+    states = occupancy[0] if len(tables) == 1 else occupancy_vectors(game.n_users, game.n_channels)
+    report, potential = _deviation_report(game, tables, states, TIE_TOL)
+    maximizer = None if potential is None else _maximizer(states, potential)
+    return profiles + 1, aggregates, report, maximizer

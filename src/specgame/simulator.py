@@ -489,7 +489,7 @@ def _score(
     x -= shift[:, None]
     np.exp(x, out=x)
     logs = [math.log(total) for total in x.sum(axis=1).tolist()]
-    return tuple((-(shift + logs - math.log(len(tail))) / thetas).tolist())
+    return tuple(((math.log(len(tail)) - (shift + logs)) / thetas).tolist())
 
 
 def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[TrialResult]:

@@ -49,7 +49,7 @@ def log_mgf_neg(dist, theta):
 
 
 def effective_capacity(dist, theta):
-    return -log_mgf_neg(dist, theta) / theta
+    return (0.0 - log_mgf_neg(dist, theta)) / theta
 
 
 def approx_utility(dist, theta):

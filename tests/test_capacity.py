@@ -235,6 +235,15 @@ class TestEmpiricalEffectiveCapacity:
         assert got == pytest.approx(closed, rel=1e-12)
         assert got == pytest.approx(1.4732349692197175, rel=1e-12)
 
+    def test_no_positive_rate_is_positive_zero(self):
+        # 0.0, not -0.0, which a negated log would give
+        for d in (RateDistribution((0.0,), (1.0,)), RateDistribution((0.0, 5.0), (1.0, 0.0))):
+            for theta in (1e-3, 0.5, 800.0):
+                assert bits(effective_capacity(d, theta)) == 0
+                assert bits(_effective_capacities(d, [theta, 2 * theta])).tolist() == [0, 0]
+        for samples in ([0.0], [0.0] * 7):
+            assert bits(empirical_effective_capacity(samples, 0.3)) == 0
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one sample"):
             empirical_effective_capacity([], 0.5)

@@ -23,7 +23,7 @@ from specgame.cli import (
     main,
 )
 from specgame.config import PRESETS, config_from_dict, config_to_dict, parse_config, preset_config
-from specgame import simulator
+from specgame import game as game_layer, simulator
 from specgame.plots import Series, line_chart
 from specgame.simulator import TrialTraces
 
@@ -128,6 +128,32 @@ class TestAnalyze:
         assert analysis["potential_maximizer"] is None
         assert analysis["potential_check"]["opg_sign_disagreements"] is None
 
+
+    def test_builds_one_count_table_kernel(self, tmp_path, monkeypatch):
+        # one shared rate law per channel and occupancy, not one per game call
+        laws = []
+        build = game_layer.shared_rate_distribution
+
+        def counted(*args):
+            laws.append(args[1:])
+            return build(*args)
+
+        monkeypatch.setattr(game_layer, "shared_rate_distribution", counted)
+        assert main(["analyze", "--preset", "fig2", "--out", str(tmp_path)]) == 0
+        game = preset_config("fig2").sim.game
+        assert len(laws) == game.n_channels * game.n_users == 40
+
+    def test_zero_rate_network_reports_positive_zero(self, tmp_path, capsys):
+        zero = {"rates": [0.0], "probs": [1.0]}
+        game = {"theta": 0.5, "n_users": 3, "channels": [{"id": 1, **zero}, {"id": 2, **zero}]}
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(write_config(tmp_path, game=game)), "--out", str(out)]) == 0
+        text = (out / "analysis.json").read_text(encoding="utf-8")
+        assert "-0.0" not in text
+        analysis = json.loads(text)
+        assert analysis["nash_aggregate_ec"] == [0.0] * 8
+        assert analysis["best_nash_aggregate_ec"] == 0.0
+        assert "best aggregate EC 0.0000," in capsys.readouterr().out
 
     def test_underflowing_phi_still_analyzes(self, tmp_path):
         # phi of the state with one user per channel is exactly 0 here
@@ -483,6 +509,35 @@ class TestJsonWriter:
         rng = np.random.default_rng(rows)
         floats = np.repeat(rng.random(rows // 7 + 1), 7)[:rows].tolist()
         floats[JSON_ITEMS - 1] = -0.0
+        fast, reference = json_bytes(tmp_path, {"nash_aggregate_ec": floats})
+        assert fast == reference
+
+    @pytest.mark.parametrize(
+        "rows, width, low, high",
+        [
+            (0, 8, 1, 5),
+            (1, 1, 1, 5),
+            (3, 2, 10, 12),
+            (JSON_ITEMS - 1, 8, 1, 12),
+            (JSON_ITEMS, 1, 1, 5),
+            (JSON_ITEMS + 1, 9, 1, 15),
+            (2 * JSON_ITEMS + 3, 2, -300, 300),
+            (5, 3, 0, 2**40),  # too wide a range for a table of values
+        ],
+    )
+    def test_integer_rows(self, tmp_path, rows, width, low, high):
+        rng = np.random.default_rng(rows + width)
+        values = rng.integers(low, high + 1, size=(rows, width))
+        smallest = np.promote_types(np.min_scalar_type(low), np.min_scalar_type(high))
+        for array in (values.astype(smallest), values):
+            doc = {"nash_count": rows, "nash_profiles": array, "best": values[:1].tolist()}
+            _write_json(tmp_path / "doc.json", doc)
+            reference = json.dumps({**doc, "nash_profiles": values.tolist()}, indent=2) + "\n"
+            assert (tmp_path / "doc.json").read_bytes() == reference.encode()
+
+    def test_floats_formatted_once_per_bit_pattern(self, tmp_path):
+        # np.unique on the values would merge -0.0 with 0.0
+        floats = [0.0, -0.0, 5e-324, 1 / 3, -5e-324, 0.0, 5e-324, -0.0] * (JSON_ITEMS // 3)
         fast, reference = json_bytes(tmp_path, {"nash_aggregate_ec": floats})
         assert fast == reference
 

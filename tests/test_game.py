@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import brute_force
 from conftest import random_channels, random_game
 from specgame.channels import ChannelSpec
 from specgame.game import (
@@ -14,6 +15,7 @@ from specgame.game import (
     BestResponseLimitError,
     Contention,
     GameSpec,
+    analyze,
     best_response_path,
     congestion_counts,
     count_tables,
@@ -568,3 +570,67 @@ class TestVerifyPotentials:
         rep = verify_potentials(g)
         assert rep.epg_max_abs_error <= 1e-9  # expected shares are model-free
         assert rep.opg_sign_disagreements is not None
+
+
+ZERO_RATE = (0.0,), (1.0,)
+TWO_STATE_2 = ChannelSpec(id=2, rates=(0.0, 2.0), probs=(0.5, 0.5))
+
+# two fair-share users at theta 800, where phi of one user per channel underflows to 0
+UNDERFLOWING_PHI = GameSpec(
+    thetas=(800.0, 800.0),
+    channels=(
+        ChannelSpec(id=1, rates=(1.0, 2.0), probs=(0.5, 0.5)),
+        ChannelSpec(id=2, rates=(1.0, 3.0), probs=(0.5, 0.5)),
+    ),
+)
+
+
+@st.composite
+def analysis_games(draw):
+    """Games with N in [1, 5] and M in [1, 4], both contention models, common
+    or mixed exponents up to 800, and some channels with no positive rate."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    channels = list(random_channels(rng, m))
+    for k in draw(st.sets(st.integers(0, m - 1))):
+        channels[k] = ChannelSpec(k + 1, *ZERO_RATE)
+    exponents = st.sampled_from((1e-2, 0.5, 4.0, 800.0))
+    if draw(st.booleans()):
+        thetas = (draw(exponents),) * n
+    else:
+        thetas = tuple(draw(st.lists(exponents, min_size=n, max_size=n)))
+    contention = draw(st.sampled_from(list(Contention)))
+    return GameSpec(thetas=thetas, channels=tuple(channels), contention=contention)
+
+
+class TestAnalyze:
+    """analyze, the one pass under the analyze command, against the four
+    public calls it stands for, floats bit for bit."""
+
+    @given(analysis_games())
+    @example(UNDERFLOWING_PHI)
+    @example(replace(UNDERFLOWING_PHI, contention=Contention.SLOT_WINNER))
+    @example(GameSpec(thetas=(0.5,) * 3, channels=(ChannelSpec(1, *ZERO_RATE),)))
+    @example(GameSpec(thetas=(0.5,), channels=(ChannelSpec(1, *ZERO_RATE), TWO_STATE_2)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_public_calls(self, g):
+        profiles, aggregates, report, maximizer = analyze(g)
+        want = enumerate_nash(g)
+        assert want == brute_force.enumerate_nash(g)
+        assert profiles.shape == (len(want), g.n_users)
+        assert list(map(tuple, profiles.tolist())) == want
+        assert np.array_equal(bits(aggregates), bits(total_utility(g, want)))
+        want_report = verify_potentials(g)
+        assert report == want_report
+        assert bits(report.epg_max_abs_error) == bits(want_report.epg_max_abs_error)
+        if g.homogeneous_theta() is None:
+            assert maximizer is None
+        else:
+            assert maximizer == potential_maximizer(g)
+
+    def test_zero_rate_channels_have_positive_zero_aggregates(self):
+        channels = (ChannelSpec(1, *ZERO_RATE), ChannelSpec(2, *ZERO_RATE))
+        g = GameSpec(thetas=(0.5,) * 3, channels=channels, contention=Contention.SLOT_WINNER)
+        profiles, aggregates, _, maximizer = analyze(g)
+        assert len(profiles) == 2**3 and maximizer == (1, 1, 1)
+        assert bits(aggregates).tolist() == [0] * 8

@@ -412,6 +412,11 @@ class TestBlockScoring:
         want = [empirical_effective_capacity(tail[:, u], thetas[u]) for u in range(n)]
         assert np.array_equal(bits(got), bits(want))
 
+    def test_all_zero_tail_is_positive_zero(self):
+        game = GameSpec(thetas=(0.01, 50.0, 1.0), channels=TWIN.channels)
+        got = simulator._score(SimConfig(game=game, iterations=4, window=4), None, np.zeros((4, 3)))
+        assert bits(got).tolist() == [0, 0, 0]
+
     @pytest.mark.parametrize("slots", [1, 2, 8191, 8192, 8193, 20000])
     def test_one_slot_and_long_tails(self, slots):
         rng = np.random.default_rng(slots)
