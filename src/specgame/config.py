@@ -104,16 +104,27 @@ def _get(mapping: dict, key: str, kind, path: str, default=None, required=False)
     return value
 
 
+def _numbers(mapping: dict, key: str, path: str, required=False) -> tuple[float, ...] | None:
+    """The list of numbers at `key` as floats; a bool, string, null or
+    nested list in it is rejected."""
+    values = _get(mapping, key, list, path, required=required)
+    if values is not None and not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise ConfigError(f"{path}{key}: expected a list of numbers")
+    return None if values is None else tuple(float(v) for v in values)
+
+
 def _parse_channel(data, index: int) -> ChannelSpec:
     path = f"game.channels[{index}]."
     if not isinstance(data, dict):
         raise ConfigError(f"game.channels[{index}]: expected an object")
     _reject_unknown(data, {"id", "rates", "probs", "avg_snr_db", "thresholds_db"}, path)
     id = _get(data, "id", int, path, default=index + 1)
-    rates = _get(data, "rates", list, path, required=True)
-    probs = _get(data, "probs", list, path)
+    rates = _numbers(data, "rates", path, required=True)
+    probs = _numbers(data, "probs", path)
     snr = _get(data, "avg_snr_db", float, path)
-    thresholds_db = _get(data, "thresholds_db", list, path)
+    thresholds_db = _numbers(data, "thresholds_db", path)
     if (probs is None) == (snr is None):
         raise ConfigError(
             f"game.channels[{index}]: give exactly one of probs or avg_snr_db"
@@ -127,7 +138,7 @@ def _parse_channel(data, index: int) -> ChannelSpec:
             return ChannelSpec(id=id, rates=rates, probs=probs)
         thresholds = SNR_THRESHOLDS
         if thresholds_db is not None:
-            thresholds = tuple(10.0 ** (float(t) / 10.0) for t in thresholds_db)
+            thresholds = tuple(10.0 ** (t / 10.0) for t in thresholds_db)
         return snr_channel(id, snr, rates, thresholds)
 
 
@@ -139,23 +150,21 @@ def _parse_game(data) -> GameSpec:
     )
     channels_raw = _get(data, "channels", list, "game.", required=True)
     channels = tuple(_parse_channel(c, i) for i, c in enumerate(channels_raw))
-    thetas = _get(data, "thetas", list, "game.")
+    thetas = _numbers(data, "thetas", "game.")
     theta = _get(data, "theta", float, "game.")
     n_users = _get(data, "n_users", int, "game.")
     if (thetas is None) == (theta is None):
         raise ConfigError("game: give exactly one of thetas or theta + n_users")
-    if thetas is not None:
-        if n_users is not None and n_users != len(thetas):
-            raise ConfigError("game.n_users: contradicts the length of thetas")
-        theta_tuple = tuple(float(t) for t in thetas)
-    else:
+    if thetas is None:
         if n_users is None:
             raise ConfigError("game.n_users: required alongside theta")
-        theta_tuple = (theta,) * n_users
+        thetas = (theta,) * n_users
+    elif n_users is not None and n_users != len(thetas):
+        raise ConfigError("game.n_users: contradicts the length of thetas")
     contention = _get(data, "contention", str, "game.", default="fair_share")
     with config_errors("game: "):
         return GameSpec(
-            thetas=theta_tuple,
+            thetas=thetas,
             channels=channels,
             contention=Contention.from_str(contention),
         )
@@ -206,10 +215,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if sweep_raw is not None:
         _reject_unknown(sweep_raw, {"variable", "values"}, "sweep.")
         variable = _get(sweep_raw, "variable", str, "sweep.", required=True)
-        values_raw = _get(sweep_raw, "values", list, "sweep.", required=True)
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values_raw):
-            raise ConfigError("sweep.values: expected a list of numbers")
-        values = tuple(float(v) for v in values_raw)
+        values = _numbers(sweep_raw, "values", "sweep.", required=True)
     return ExperimentConfig(
         sim=sim,
         sweep_variable=variable,

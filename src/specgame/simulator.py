@@ -32,10 +32,9 @@ at these sizes, for the same bits (README, "Simulation engine and
 determinism"). After each update p is copied into a per-chunk history (q
 and the one-hot too, when traced), off which the traces and the
 convergence test are read once per chunk.
-One that does not learn (`learns` false, the random baseline) never reads
-payoffs, so its `play` acts, contends and logs the whole chunk as
-[k, T, N] arrays. The held baseline's takers and ranks never change, so it
-only gathers each user's rate and tie-break.
+The random baseline (`learns` false) never reads payoffs, so its `play`
+draws a chunk's actions at once, or holds the first slot's, and gathers
+each user's rate and tie-break at its channel.
 
 A finished block's closed-form EC is one gather from the game's count
 tables (`profile_utilities`), and `_score` reads each trial's empirical EC.
@@ -216,18 +215,17 @@ def resolve_contention(
 
 
 class _Work:
-    """The preallocated buffers of one engine step, and fixed views of them.
+    """The preallocated buffers of a learner's slot step, and fixed views of
+    them.
 
-    `shape` is the shape of the action uniforms the step reads: [T, N] for
-    one slot of a block, [k, T, N] for a chunk of k slots. Every buffer is
-    channel-major, [M, *shape], or [M, *shape[:-1], 1] for one value per
-    channel. A sampler writes the one-hot `chosen` and its copy `hot` in the
-    type `counts`, and a contender reads them: float for a learner, whose
-    update reads `hot` too, or the smallest integer type that holds N, which
-    keeps chunk-sized buffers small; a one-byte `hot` is `chosen` itself.
+    `shape` is the shape of the action uniforms the step reads, [T, N] for
+    a block of trials. Every buffer is channel-major, [M, *shape], or
+    [M, *shape[:-1], 1] for one value per channel. A sampler writes the
+    one-hot `chosen` and its float copy `hot`; a contender reads both, and
+    the update reads `hot`.
     """
 
-    def __init__(self, m: int, shape: tuple[int, ...], counts) -> None:
+    def __init__(self, m: int, shape: tuple[int, ...]) -> None:
         full, per_channel = (m,) + shape, (m,) + shape[:-1] + (1,)
         self.cum = np.empty((m - 1,) + shape)  # running sums of p
         # whether a running sum is above u; row 0 is the empty sum
@@ -235,9 +233,8 @@ class _Work:
         above[-1] = True
         self.above_sums, self.above_hi, self.above_lo = above[1:-1], above[1:], above[:-1]
         self.chosen = np.empty(full, dtype=bool)
-        one_byte = np.dtype(counts).itemsize == 1
-        self.hot = self.chosen.view(counts) if one_byte else np.empty(full, dtype=counts)
-        self.taken = np.empty(full, dtype=counts)  # takers so far in user order
+        self.hot = np.empty(full)
+        self.taken = np.empty(full)  # takers so far in user order
         self.counts = self.taken[..., -1:]
         self.draw = np.empty(per_channel)  # slot winner: u * c
         # whether the takers so far are more than u * c; column 0 is no user
@@ -249,10 +246,10 @@ class _Work:
 
 
 def _sampler(p: np.ndarray, work: _Work):
-    """`sample(u)`: inverse-CDF draws from the channel-major strategies
-    p [M, ...] at uniforms u [...] or [M - 1, ...], as their channel-major
-    one-hot `work.chosen` and its copy `work.hot`, which it returns. It
-    reads p's buffer, so p is updated in place.
+    """`sample(u)`: a learner's inverse-CDF draws from its channel-major
+    strategies p [M, ...] at uniforms u [M - 1, ...], written as the
+    channel-major one-hot `work.chosen` and its copy `work.hot`. It reads
+    p's buffer, so p is updated in place.
 
     The arithmetic of learning.sample_profile: running sums in channel
     order, the last one taken as 1, and the first sum above u
@@ -267,7 +264,6 @@ def _sampler(p: np.ndarray, work: _Work):
         greater(cum, u, above)
         greater(hi, lo, chosen)
         copyto(hot, chosen)
-        return hot
 
     return sample
 
@@ -409,7 +405,8 @@ class SLAPolicy(Policy):
 
 class RandomPolicy(Policy):
     """Uniform choices: one profile held from the first slot, or a fresh
-    one every slot. Draws like learning.random_baseline_profile.
+    one every slot. Draws like learning.random_baseline_profile: the first
+    running sum of the uniform strategy above u (bisect_right).
 
     It never reads payoffs, so the engine runs it a chunk at a time through
     `play`. Its strategies stay uniform, so the engine does not check them.
@@ -419,47 +416,40 @@ class RandomPolicy(Policy):
 
     def __init__(self, config: SimConfig) -> None:
         self.per_slot = config.random_per_slot
-        self.held: np.ndarray | None = None
-        self.work: _Work | None = None
+        m = config.game.n_channels
+        self.sums = add.accumulate(np.full(m - 1, 1.0 / m))  # the last, 1, left out
+        self.actions: np.ndarray | None = None
 
-    def play(self, model, p, u, rates, tiebreak, out) -> np.ndarray:
+    def play(self, model, u, rates, tiebreak, out) -> np.ndarray:
         """Act and contend for a chunk of k slots.
 
-        p is the uniform [M, T, N], u the action uniforms [k, T, N], and
-        rates and tiebreak are [k, T, M]. Writes the [k, T, N] payoffs to
-        `out` and returns the 0-based channels chosen, [k, T, N].
+        u is the action uniforms [k, T, N], and rates and tiebreak are
+        [k, T, M]. Writes the [k, T, N] payoffs to `out` and returns the
+        0-based channels chosen, [k, T, N].
         """
-        if self.per_slot:
-            if self.work is None or self.work.chosen.shape[1:] != u.shape:
-                self.work = _Work(len(p), u.shape, np.min_scalar_type(u.shape[-1]))
-            shape = self.work.chosen.shape
-            chosen = _sampler(np.broadcast_to(p[:, None], shape), self.work)(u)
-            rates = np.broadcast_to(rates.transpose(2, 0, 1)[..., None], shape)
-            _contender(model, self.work)(rates, tiebreak.transpose(2, 0, 1)[..., None], out)
-            return chosen.argmax(axis=0)
-        if self.held is None:
-            self._hold(p, u[0])
-        # each user's channel's rate and tie-break, [k, T, N]
-        got = rates[:, self.rows, self.held]
+        k, trials, n = u.shape
+        if self.per_slot or self.actions is None:
+            self.actions = self.sums.searchsorted(u if self.per_slot else u[0], "right")
+            # whether users i and j share a channel, user-major, [N, N, rows],
+            # so that sums over users add whole rows
+            by_user = self.actions.reshape(-1, n).T.copy()
+            same = by_user[:, None] == by_user
+            before = np.tri(n, k=-1, dtype=bool)[..., None]  # j < i
+            # takers of each user's channel, and those of them before it
+            self.count = add.reduce(same, 1, dtype=float).T.reshape(self.actions.shape)
+            self.rank = add.reduce(same, 1, dtype=float, where=before).T.reshape(self.count.shape)
+        # each user's channel as an index into the flat [k, T, M] chunk
+        at = self.actions + (np.arange(k * trials) * rates.shape[-1]).reshape(k, trials, 1)
+        got = rates.take(at)
         if model is Contention.FAIR_SHARE:
             np.divide(got, self.count, out=out)
         else:
-            # the winner's 0-based rank is floor(u * c), as in _contender
-            tie = tiebreak[:, self.rows, self.held]
+            # the winner's 0-based rank among the channel's c takers is floor(u * c)
+            tie = tiebreak.take(at)
             tie *= self.count
             np.floor(tie, out=tie)
             np.multiply(got, tie == self.rank, out=out)
-        return np.broadcast_to(self.held, u.shape)
-
-    def _hold(self, p, u):
-        """Draw the held profile at the first slot's uniforms u [T, N]; its
-        takers per channel and each user's rank among them never change."""
-        held = _sampler(p, _Work(len(p), u.shape, np.uint8))(u).argmax(axis=0)
-        same = held[..., :, None] == held[..., None, :]  # [T, N, N]: users on one channel
-        self.count = same.sum(axis=-1, dtype=float)  # takers of each user's channel
-        self.rank = np.tril(same, -1).sum(axis=-1, dtype=float)  # takers before it
-        self.rows = np.arange(len(held))[:, None]
-        self.held = held
+        return np.broadcast_to(self.actions, u.shape)
 
 
 POLICIES = {"learn": LearnPolicy, "sla": SLAPolicy, "random": RandomPolicy}
@@ -513,7 +503,7 @@ def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[T
     conv = np.full(size, -1)  # -1: not converged yet
     if policy.learns:
         # the slot step, bound once, and each slot's operands and rows in a chunk
-        work = _Work(m, (size, n), float)
+        work = _Work(m, (size, n))
         sample, contend = _sampler(state.p, work), _contender(model, work)
         update, p, q, hot = policy.bind(state, work.hot), state.p, state.q, work.hot
         schedule = StepSchedule(eta=config.eta, lam=config.lam)
@@ -539,7 +529,7 @@ def _run_block(config: SimConfig, trials: range, traced: bool = False) -> list[T
         if traced:
             p_at, q_at, a_at = trace_p[window], trace_q[window], trace_a[window]
         if not policy.learns:
-            actions = policy.play(model, state.p, act_u, rates, tiebreak, payoff_log[window])
+            actions = policy.play(model, act_u, rates, tiebreak, payoff_log[window])
             if traced:
                 a_at[:] = actions + 1  # 1-based channel ids
             continue

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -226,6 +227,40 @@ class TestRejection:
         data["sweep"] = {"variable": "users", "values": [2, value]}
         with pytest.raises(ConfigError, match="sweep.values: expected a list of numbers"):
             config_from_dict(data)
+
+    @staticmethod
+    def _with_list(key, bad) -> dict:
+        """minimal() with a second item `bad` in the number list at `key`."""
+        data = minimal()
+        channel = data["game"]["channels"][0]
+        if key == "thetas":
+            data["game"] = {"thetas": [0.5, bad], "channels": data["game"]["channels"]}
+        elif key == "sweep.values":
+            data["sweep"] = {"variable": "eta", "values": [0.1, bad]}
+        elif key == "thresholds_db":
+            del channel["probs"]
+            channel.update(avg_snr_db=5.0, thresholds_db=[1.0, bad])
+        else:
+            channel[key] = [0.5, bad]
+        return data
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None, [0.5]])
+    @pytest.mark.parametrize(
+        "key, path",
+        [
+            ("rates", "game.channels[0].rates"),
+            ("probs", "game.channels[0].probs"),
+            ("thresholds_db", "game.channels[0].thresholds_db"),
+            ("thetas", "game.thetas"),
+            ("sweep.values", "sweep.values"),
+        ],
+    )
+    def test_number_lists_take_only_numbers(self, key, path, bad, tmp_path):
+        # a bool is no number, though JSON true would pass float() as 1.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self._with_list(key, bad)), encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: expected a list of numbers")):
+            parse_config(cfg)
 
     def test_bad_contention(self):
         data = minimal()

@@ -12,7 +12,7 @@ from conftest import random_game
 from specgame.capacity import effective_capacity, empirical_effective_capacity
 from specgame.channels import ChannelSpec
 from specgame.game import Contention, GameSpec, shared_rate_distribution, utility
-from specgame.learning import is_converged
+from specgame.learning import is_converged, sample_profile
 from specgame import simulator
 from specgame.simulator import (
     SimConfig,
@@ -172,26 +172,17 @@ class TestResolveContention:
 
 
 def contend(model, chosen, rates, tiebreak):
-    """The contention step of simulator._contender on fresh workspaces
+    """The contention step of simulator._contender on a fresh workspace
     holding the one-hot `chosen` as a sampler leaves it, with the
-    channel-major [M, ...] rates and tiebreak laid out as it reads them.
-
-    Runs it with the counts of a learner's slot (float) and of a chunk (the
-    smallest integer type that holds N), and returns the payoffs after
-    checking that both give the same bits.
-    """
+    channel-major [M, ...] rates and tiebreak laid out as it reads them."""
     shape = chosen.shape[1:]
+    work = simulator._Work(len(chosen), shape)
+    work.chosen[...] = chosen
+    work.hot[...] = chosen
+    out = np.empty(shape)
     rates = np.broadcast_to(rates[..., None], chosen.shape)
-    got = []
-    for counts in (float, np.min_scalar_type(shape[-1])):
-        work = simulator._Work(len(chosen), shape, counts)
-        work.chosen[...] = chosen
-        work.hot[...] = chosen
-        out = np.empty(shape)
-        simulator._contender(model, work)(rates, tiebreak[..., None], out)
-        got.append(out)
-    assert np.array_equal(got[0].view(np.int64), got[1].view(np.int64))
-    return got[0]
+    simulator._contender(model, work)(rates, tiebreak[..., None], out)
+    return out
 
 
 class TestContendShapes:
@@ -242,9 +233,29 @@ def bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-class TestHeldRandomGather:
-    """The held random baseline gathers each user's rate and tie-break; it
-    must pay what contention pays on its one-hot broadcast over the chunk."""
+class _Uniforms:
+    """A stand-in generator whose `random` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+def sample_uniform(u, m):
+    """0-based channels that learning.sample_profile draws from the uniform
+    strategy at the users' uniforms u [N]."""
+    p = np.full((len(u), m), 1.0 / m)
+    return [a - 1 for a in sample_profile(p, _Uniforms(u))]
+
+
+class TestRandomGather:
+    """The random baseline draws with a binary search of the uniform
+    strategy's running sums and gathers each user's rate and tie-break; it
+    must act as learning.sample_profile and pay what contention pays on
+    the chunk's one-hot."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -254,28 +265,52 @@ class TestHeldRandomGather:
         trials=st.integers(1, 5),
         k=st.integers(1, 6),
         model=st.sampled_from(list(Contention)),
+        per_slot=st.booleans(),
     )
-    def test_gathered_payoffs_equal_contend_on_the_broadcast_one_hot(
-        self, seed, n, m, trials, k, model
+    def test_payoffs_equal_contend_on_the_chunk_one_hot(
+        self, seed, n, m, trials, k, model, per_slot
     ):
         rng = np.random.default_rng(seed)
         game = random_game(rng, n_users=n, n_channels=m, contention=model)
-        policy = simulator.RandomPolicy(SimConfig(game=game, algorithm="random"))
-        p = np.full((m, trials, n), 1.0 / m)
+        cfg = SimConfig(game=game, algorithm="random", random_per_slot=per_slot)
+        policy = simulator.RandomPolicy(cfg)
         first = None
-        for _ in range(2):  # the profile drawn in the first chunk is held
+        for _ in range(2):  # a held profile is drawn in the first chunk
             u = rng.random((k, trials, n))
             rates = rng.uniform(0.0, 6.0, (k, trials, m))
             rates[rng.random(rates.shape) < 0.2] = 0.0
             tiebreak = rng.random((k, trials, m))
             got = np.empty((k, trials, n))
-            actions = policy.play(model, p, u, rates, tiebreak, got)
-            first = actions[0].copy() if first is None else first
-            assert np.array_equal(actions, np.broadcast_to(first, actions.shape))
+            actions = policy.play(model, u, rates, tiebreak, got)
+            first = u[0] if first is None else first
+            for s in range(k):
+                for t in range(trials):
+                    at = u[s, t] if per_slot else first[t]
+                    assert actions[s, t].tolist() == sample_uniform(at, m)
             chosen = actions == np.arange(m).reshape(m, 1, 1, 1)
             by_channel = rates.transpose(2, 0, 1), tiebreak.transpose(2, 0, 1)
             want = contend(model, chosen, *by_channel)
             assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_draw_at_the_running_sums(self, m):
+        """Each running sum of 1/M and its neighbours, where a draw by
+        another comparison or another summation order would differ;
+        random uniforms never land on them."""
+        sums = np.cumsum(np.full(m, 1.0 / m)).tolist()
+        u = sorted(
+            {v for s in [0.0, *sums] for v in (math.nextafter(s, -1.0), s, math.nextafter(s, 2.0))}
+        )
+        u = [v for v in u if 0.0 <= v < 1.0]
+        channel = TWIN.channels[0]
+        channels = tuple(replace(channel, id=i + 1) for i in range(m))
+        game = GameSpec(thetas=(0.01,) * len(u), channels=channels)
+        policy = simulator.RandomPolicy(SimConfig(game=game, algorithm="random"))
+        got = np.empty((1, 1, len(u)))
+        actions = policy.play(
+            Contention.FAIR_SHARE, np.array([[u]]), np.zeros((1, 1, m)), np.zeros((1, 1, m)), got
+        )
+        assert actions[0, 0].tolist() == sample_uniform(u, m)
 
 
 class TestLearnerChunks:
