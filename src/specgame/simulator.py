@@ -215,8 +215,7 @@ def resolve_contention(
 
 
 class _Work:
-    """The preallocated buffers of a learner's slot step, and fixed views of
-    them.
+    """The preallocated buffers of a learner's slot step, and fixed views of them.
 
     `shape` is the shape of the action uniforms the step reads, [T, N] for
     a block of trials. Every buffer is channel-major, [M, *shape], or
