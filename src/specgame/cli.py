@@ -31,6 +31,7 @@ from specgame.config import (
     preset_config,
 )
 from specgame.dynamics import integrate
+from specgame.floatrepr import WIDTH, float_rows
 from specgame.game import TIE_TOL, Contention, analyze
 from specgame.plots import (
     aggregate_chart,
@@ -45,8 +46,8 @@ from specgame.simulator import ExperimentSummary, run_experiment, run_trial, swe
 ODE_DT = 0.02
 
 # Rows of a CSV, and items of a list in analysis.json, formatted and written at
-# once: one string of a whole file would set the command's peak memory.
-CSV_ROWS = 4096
+# once: one whole file, or 4,096 trace.csv rows, would set `learn`'s peak memory.
+CSV_ROWS = 2048
 JSON_ITEMS = 1024
 
 # the across-trial columns of sweep.csv, in field order
@@ -59,73 +60,69 @@ FAIR_SHARE_NOTE = (
 )
 
 
-def _reprs(values: np.ndarray) -> list[str]:
-    """float.__repr__ of each entry of a float array, in C order, NaN left empty.
-
-    An entry with the same bits as the one before it along axis 0 (the slot
-    axis of trace columns) reuses that entry's string instead of formatting
-    its own, through an index that np.maximum.accumulate carries down axis 0.
-    With no such repeat, the whole array goes through one tolist().
-    """
-    flat = values.ravel()
-    if len(values) > 1:
-        bits = values.view(np.int64)
-        same = bits[1:] == bits[:-1]
-        if same.any():
-            index = np.arange(flat.size)
-            source = index.reshape(values.shape).copy()
-            source[1:][same] = 0
-            source = np.maximum.accumulate(source, axis=0).ravel()
-            new = source == index
-            cells = np.empty(flat.size, dtype=object)
-            cells[new] = _reprs(flat[new])
-            return cells[source].tolist()
-    known = ~np.isnan(flat)
-    if known.all():
-        return repr(flat.tolist())[1:-1].split(", ")
-    cells = np.full(flat.size, "", dtype=object)
-    # with no known entry the split gives [""], which fills no cell
-    cells[known] = repr(flat[known].tolist())[1:-1].split(", ")
-    return cells.tolist()
+def _text_rows(cells: list[str]) -> np.ndarray:
+    """The UTF-8 bytes of each string, as the rows of a uint8 array padded with NUL."""
+    rows = np.array([cell.encode() for cell in cells], dtype=bytes)
+    return rows.view(np.uint8).reshape(len(cells), rows.itemsize)
 
 
-def _cells(column) -> list[str]:
-    """The CSV cells of one column, formatted column-wise.
-
-    A float array gives _reprs of its entries, with NaN, a missing value,
-    left empty; an integer array gives str of each entry. A list holds str,
-    int or None, and None is left empty. Cells are never quoted, so none may
-    hold a comma, a quote or a line break.
-    """
-    if not isinstance(column, np.ndarray):
-        cells = ["" if v is None else str(v) for v in column]
-        if not set(',"\r\n').isdisjoint("".join(cells)):
-            raise ValueError(f"CSV cells would need quoting: {cells!r}")
-        return cells
-    if column.dtype.kind not in "iu":
-        return _reprs(column)
-    values = column.ravel()
+def _int_rows(values: np.ndarray) -> np.ndarray:
+    """_text_rows of str of each entry; a narrow range formats each value once."""
+    values = values.ravel()
     lo, hi = int(values.min()), int(values.max())
     if hi - lo >= values.size:
-        return list(map(str, values.tolist()))
-    # a narrow range (slots, users, channels): each value formatted once
-    table = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
-    return table[values - lo].tolist()
+        return _text_rows(list(map(str, values.tolist())))
+    return _text_rows(list(map(str, range(lo, hi + 1)))).take(values - lo, axis=0)
+
+
+def _csv_table(columns) -> np.ndarray:
+    """The CSV rows of equal-shape columns as one uint8 matrix: each column's
+    rows padded with NUL, and a comma or line end after each.
+
+    All float arrays go through one float_rows call, NaN (missing) left
+    empty; an entry with the same bits as the one before it along axis 0
+    (the slot axis of trace columns) takes that entry's row. Integers give
+    str; a list holds str, int or None (empty). No cell may hold a comma, a
+    quote, a line break or a NUL, since none is quoted."""
+    floats = [c for c in columns if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
+    size = np.size(columns[0])
+    values = np.stack(floats) if floats else np.zeros((0, size))
+    bits = values.view(np.int64)
+    source = np.arange(values.size).reshape(values.shape)
+    source[:, 1:][bits[:, 1:] == bits[:, :-1]] = 0
+    source = np.maximum.accumulate(source, axis=1).ravel()
+    new = source == np.arange(values.size)
+    rows = float_rows(values.ravel()[new]).take(np.cumsum(new).take(source) - 1, axis=0)
+    rows = iter(rows.reshape(len(floats), size, WIDTH))
+    cells = []
+    for column in columns:
+        if not isinstance(column, np.ndarray):
+            text = ["" if v is None else str(v) for v in column]
+            if not set(',"\r\n\0').isdisjoint("".join(text)):
+                raise ValueError(f"CSV cells would need quoting: {text!r}")
+            cells.append(_text_rows(text))
+        else:
+            cells.append(next(rows) if column.dtype.kind == "f" else _int_rows(column))
+    comma = np.full((size, 1), ord(","), dtype=np.uint8)
+    table = np.concatenate([part for cell in cells for part in (cell, comma)], axis=1)
+    table[:, -1] = ord("\n")
+    return table
 
 
 def _write_csv(path: Path, header, columns) -> None:
     """A CSV with one row per entry of the columns, built column by column.
 
-    The columns are arrays or lists of one shape; rows follow its entries in
-    C order. About CSV_ROWS rows, a run along the first axis, are formatted
-    and written at once.
+    The columns are arrays or lists of one shape, the first an array, or
+    functions of a slice of rows; rows follow its entries in C order. About
+    CSV_ROWS rows, a run along the first axis, are written at once.
     """
     step = max(1, CSV_ROWS // math.prod(np.shape(columns[0])[1:]))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(columns[0]), step):
-            cells = [_cells(column[start : start + step]) for column in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            rows = slice(start, start + step)
+            table = _csv_table([c(rows) if callable(c) else c[rows] for c in columns])
+            fh.write(table[table != 0])
 
 
 _SCALARS = {int, float, bool, type(None)}
@@ -136,7 +133,7 @@ def _json_items(items) -> str:
 
     An integer array [k, W] is k rows of W numbers, joined from a table that
     holds each value in its range once followed by the separator after it:
-    one within a row, one at its end. Finite floats are their _reprs, one
+    one within a row, one at its end. Finite floats are their float_rows, one
     per bit pattern. Other numbers go through the C encoder and are indented
     by replacing its separators, which no number contains; anything else,
     lists and strings above all, is encoded item by item with indent=2.
@@ -158,8 +155,8 @@ def _json_items(items) -> str:
         values = np.array(items)
         if np.isfinite(values).all():
             bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-            cells = np.array(_reprs(bits.view(float)), dtype=object)
-            return ",\n    ".join(cells[inverse].tolist())
+            cells = float_rows(bits.view(float)).view(f"S{WIDTH}").ravel()
+            return b",\n    ".join(cells[inverse].tolist()).decode()
     if kinds <= _SCALARS:
         return json.dumps(items)[1:-1].replace(", ", ",\n    ")
     return ",\n    ".join(json.dumps(item, indent=2).replace("\n", "\n    ") for item in items)
@@ -246,11 +243,15 @@ def cmd_analyze(cfg: ExperimentConfig, out: Path, args) -> int:
 
 
 def _write_trace(path: Path, traces) -> None:
-    """trace.csv: rows by slot, then user, then channel; `payoff` is filled on
-    the row of the channel the user took and empty (NaN) on the others."""
+    """trace.csv: rows by slot, then user, then channel; `payoff`, built a chunk
+    at a time, is filled on the row of the channel the user took and empty
+    (NaN) on the others."""
     shape = traces.p.shape
-    payoff = np.full(shape, np.nan)
-    np.put_along_axis(payoff, traces.actions[..., None] - 1, traces.payoffs[..., None], axis=2)
+
+    def payoff(slots: slice) -> np.ndarray:
+        taken = traces.actions[slots, :, None] == np.arange(1, shape[2] + 1)
+        return np.where(taken, traces.payoffs[slots, :, None], np.nan)
+
     _write_csv(
         path,
         ("slot", "user", "channel", "p", "q", "payoff"),

@@ -38,12 +38,12 @@ class ConfigError(ValueError):
 
 @contextmanager
 def config_errors(path: str = ""):
-    """Raise a ValueError from the block as a ConfigError at `path`."""
+    """Raise a ValueError or OverflowError from the block as a ConfigError at `path`."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:
         raise ConfigError(f"{path}{err}") from err
 
 
@@ -96,7 +96,8 @@ def _get(mapping: dict, key: str, kind, path: str, default=None, required=False)
     value = mapping[key]
     # bool is an int subclass; keep the two apart
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        with config_errors(f"{path}{key}: "):
+            value = float(value)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ConfigError(
             f"{path}{key}: expected {kind.__name__}, got {type(value).__name__}"
@@ -112,7 +113,8 @@ def _numbers(mapping: dict, key: str, path: str, required=False) -> tuple[float,
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
         raise ConfigError(f"{path}{key}: expected a list of numbers")
-    return None if values is None else tuple(float(v) for v in values)
+    with config_errors(f"{path}{key}: "):
+        return None if values is None else tuple(float(v) for v in values)
 
 
 def _parse_channel(data, index: int) -> ChannelSpec:
@@ -138,7 +140,8 @@ def _parse_channel(data, index: int) -> ChannelSpec:
             return ChannelSpec(id=id, rates=rates, probs=probs)
         thresholds = SNR_THRESHOLDS
         if thresholds_db is not None:
-            thresholds = tuple(10.0 ** (t / 10.0) for t in thresholds_db)
+            with config_errors(f"{path}thresholds_db: "):
+                thresholds = tuple(10.0 ** (t / 10.0) for t in thresholds_db)
         return snr_channel(id, snr, rates, thresholds)
 
 

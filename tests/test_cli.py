@@ -12,7 +12,6 @@ from specgame.cli import (
     CSV_ROWS,
     FAIR_SHARE_NOTE,
     JSON_ITEMS,
-    _reprs,
     _running_aggregate,
     _write_csv,
     _write_json,
@@ -23,7 +22,8 @@ from specgame.cli import (
     main,
 )
 from specgame.config import PRESETS, config_from_dict, config_to_dict, parse_config, preset_config
-from specgame import game as game_layer, simulator
+from specgame.floatrepr import WIDTH, float_rows
+from specgame import cli as cli_layer, game as game_layer, simulator
 from specgame.plots import Series, line_chart
 from specgame.simulator import TrialTraces
 
@@ -373,8 +373,14 @@ def expected_cells(values):
     return ["" if math.isnan(v) else repr(v) for v in values.ravel().tolist()]
 
 
+def cells(values):
+    """float_rows of the values, as one string per entry."""
+    return [row.decode() for row in float_rows(values).view(f"S{WIDTH}").ravel().tolist()]
+
+
 class TestRepeatedFloats:
-    """Floats equal bit for bit to the entry one row up reuse its string."""
+    """float_rows per entry, and floats equal bit for bit to the entry one row
+    up reusing its bytes in the CSV writer."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -384,12 +390,26 @@ class TestRepeatedFloats:
     )
     def test_reprs_match_repr_per_entry(self, seed, shape, repeat):
         values = runs(np.random.default_rng(seed), shape, repeat)
-        assert _reprs(values) == expected_cells(values)
+        assert cells(values) == expected_cells(values)
 
     def test_signed_zeros_and_nan_payloads_are_told_apart(self):
         values = np.concatenate([[0.0, -0.0, -0.0, 0.0], NAN_PAYLOADS.view(np.float64), [0.0]])
-        assert _reprs(values) == ["0.0", "-0.0", "-0.0", "0.0", "", "", "", "0.0"]
-        assert _reprs(values[:, None]) == _reprs(values)
+        assert cells(values) == ["0.0", "-0.0", "-0.0", "0.0", "", "", "", "0.0"]
+        assert cells(values[:, None]) == cells(values)
+
+    def test_the_writer_formats_each_repeat_once(self, tmp_path, monkeypatch):
+        values = runs(np.random.default_rng(5), (CSV_ROWS // 3, 3), 0.9)
+        bits = values.view(np.int64)
+        sizes = []
+
+        def counted(fresh):
+            sizes.append(np.size(fresh))
+            return float_rows(fresh)
+
+        monkeypatch.setattr(cli_layer, "float_rows", counted)
+        _write_csv(tmp_path / "x.csv", ("a",), (values,))
+        assert sizes == [values.shape[1] + np.count_nonzero(bits[1:] != bits[:-1])]
+        assert (tmp_path / "x.csv").read_text().splitlines()[1:] == expected_cells(values)
 
     @settings(max_examples=25, deadline=None)
     @given(

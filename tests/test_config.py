@@ -262,6 +262,34 @@ class TestRejection:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: expected a list of numbers")):
             parse_config(cfg)
 
+    @pytest.mark.parametrize(
+        "key, path",
+        [
+            ("thresholds_db", "game.channels[0].thresholds_db"),
+            ("rates", "game.channels[0].rates"),
+            ("avg_snr_db", "game.channels[0].avg_snr_db"),
+            ("eta", "eta"),
+        ],
+    )
+    def test_numbers_that_overflow_a_float(self, key, path, tmp_path):
+        data = minimal()
+        channel = data["game"]["channels"][0]
+        huge = 10**400  # 401 digits, which float() refuses
+        if key == "thresholds_db":
+            del channel["probs"]
+            channel.update(avg_snr_db=5.0, thresholds_db=[1, 2, 3, 4000])
+        elif key == "avg_snr_db":
+            del channel["probs"]
+            channel["avg_snr_db"] = huge
+        elif key == "rates":
+            channel["rates"] = [0, huge]
+        else:
+            data[key] = huge
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: ")):
+            parse_config(cfg)
+
     def test_bad_contention(self):
         data = minimal()
         data["game"]["contention"] = "tdma"
