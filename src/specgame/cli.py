@@ -60,19 +60,24 @@ FAIR_SHARE_NOTE = (
 )
 
 
-def _text_rows(cells: list[str]) -> np.ndarray:
-    """The UTF-8 bytes of each string, as the rows of a uint8 array padded with NUL."""
-    rows = np.array([cell.encode() for cell in cells], dtype=bytes)
-    return rows.view(np.uint8).reshape(len(cells), rows.itemsize)
+def _text_rows(cells) -> np.ndarray:
+    """The UTF-8 bytes of str of each cell, None left empty, as the rows of a
+    uint8 array padded with NUL. Cells are never quoted, so none may hold a
+    comma, a quote, a line break or a NUL."""
+    text = ["" if v is None else str(v) for v in cells]
+    if not set(',"\r\n\0').isdisjoint("".join(text)):
+        raise ValueError(f"CSV cells would need quoting: {text!r}")
+    rows = np.array([cell.encode() for cell in text], dtype=bytes)
+    return rows.view(np.uint8).reshape(len(text), rows.itemsize)
 
 
 def _int_rows(values: np.ndarray) -> np.ndarray:
-    """_text_rows of str of each entry; a narrow range formats each value once."""
+    """_text_rows of the entries; a narrow range formats each value once."""
     values = values.ravel()
     lo, hi = int(values.min()), int(values.max())
     if hi - lo >= values.size:
-        return _text_rows(list(map(str, values.tolist())))
-    return _text_rows(list(map(str, range(lo, hi + 1)))).take(values - lo, axis=0)
+        return _text_rows(values.tolist())
+    return _text_rows(range(lo, hi + 1)).take(values - lo, axis=0)
 
 
 def _csv_table(columns) -> np.ndarray:
@@ -82,8 +87,7 @@ def _csv_table(columns) -> np.ndarray:
     All float arrays go through one float_rows call, NaN (missing) left
     empty; an entry with the same bits as the one before it along axis 0
     (the slot axis of trace columns) takes that entry's row. Integers give
-    str; a list holds str, int or None (empty). No cell may hold a comma, a
-    quote, a line break or a NUL, since none is quoted."""
+    str; a list holds str, int or None (empty)."""
     floats = [c for c in columns if isinstance(c, np.ndarray) and c.dtype.kind == "f"]
     size = np.size(columns[0])
     values = np.stack(floats) if floats else np.zeros((0, size))
@@ -94,15 +98,11 @@ def _csv_table(columns) -> np.ndarray:
     new = source == np.arange(values.size)
     rows = float_rows(values.ravel()[new]).take(np.cumsum(new).take(source) - 1, axis=0)
     rows = iter(rows.reshape(len(floats), size, WIDTH))
-    cells = []
-    for column in columns:
-        if not isinstance(column, np.ndarray):
-            text = ["" if v is None else str(v) for v in column]
-            if not set(',"\r\n\0').isdisjoint("".join(text)):
-                raise ValueError(f"CSV cells would need quoting: {text!r}")
-            cells.append(_text_rows(text))
-        else:
-            cells.append(next(rows) if column.dtype.kind == "f" else _int_rows(column))
+    cells = [
+        (next(rows) if c.dtype.kind == "f" else _int_rows(c))
+        if isinstance(c, np.ndarray) else _text_rows(c)
+        for c in columns
+    ]
     comma = np.full((size, 1), ord(","), dtype=np.uint8)
     table = np.concatenate([part for cell in cells for part in (cell, comma)], axis=1)
     table[:, -1] = ord("\n")
@@ -244,8 +244,7 @@ def cmd_analyze(cfg: ExperimentConfig, out: Path, args) -> int:
 
 def _write_trace(path: Path, traces) -> None:
     """trace.csv: rows by slot, then user, then channel; `payoff`, built a chunk
-    at a time, is filled on the row of the channel the user took and empty
-    (NaN) on the others."""
+    at a time, is filled on the row of the channel taken and empty (NaN) elsewhere."""
     shape = traces.p.shape
 
     def payoff(slots: slice) -> np.ndarray:
@@ -458,21 +457,15 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, help_txt) in commands.items():
         sp = sub.add_parser(name, help=help_txt)
         sp.add_argument("--config", type=Path, help="JSON config file")
-        sp.add_argument(
-            "--preset", choices=sorted(PRESETS), help="named built-in config"
-        )
+        sp.add_argument("--preset", choices=sorted(PRESETS), help="named built-in config")
         sp.add_argument("--seed", type=int, help="override base_seed")
         sp.add_argument("--trials", type=int, help="override trial count")
-        sp.add_argument(
-            "--iterations", type=int, help="override slots (or ODE steps)"
-        )
+        sp.add_argument("--iterations", type=int, help="override slots (or ODE steps)")
         sp.add_argument("--plot", action="store_true", help="also render SVG charts")
         sp.add_argument("--out", type=Path, help="output directory")
         sp.set_defaults(func=func)
         if name == "experiment":
-            sp.add_argument(
-                "--trace", action="store_true", help="also trace trial 0 to trace.csv"
-            )
+            sp.add_argument("--trace", action="store_true", help="also trace trial 0 to trace.csv")
     return parser
 
 

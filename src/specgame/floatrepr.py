@@ -43,14 +43,13 @@ def _tables():
     shifts = [(e, 125 - ((e * 913124641741) >> 38)) for e in range(-292, 325)]
     g = [((10 ** max(e, 0) << max(s, 0)) >> max(-s, 0)) // 10 ** max(-e, 0) + 1 for e, s in shifts]
     g = np.array([[x >> 63 for x in g], [x & (1 << 63) - 1 for x in g]], dtype=np.uint64)
-    digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
-    decpt = np.arange(-330, 330)
-    exponent = 20 + 2 * (decpt < 1) + (abs(decpt - 1) >= 100)
-    forms = np.where((decpt > -4) & (decpt <= 16), decpt + 3, exponent)
+    digits = np.frombuffer("".join(f"{i:04}" for i in range(10000)).encode(), dtype=np.uint32)
+    decpts = range(-330, 330)
+    forms = [d + 3 if -4 < d <= 16 else 20 + 2 * (d < 1) + (abs(d - 1) >= 100) for d in decpts]
     reprs = [s + _template(n, f) for s in ("", "-") for n in range(1, 18) for f in range(FORMS)]
     reprs = "".join(r.ljust(WIDTH) for r in reprs + ["0.0", "-0.0", "inf", "-inf", "", ""])
     templates = np.frombuffer(reprs.encode().translate(COLS), dtype=np.uint8)
-    return g, digits.view(np.uint32).ravel(), forms, templates.reshape(-1, WIDTH)
+    return g, digits, np.array(forms), templates.reshape(-1, WIDTH)
 
 
 def _mulhi(a, b0, b1):
@@ -89,8 +88,7 @@ def _block(bits: np.ndarray, src: np.ndarray, out: np.ndarray) -> None:
     f, k = _shortest(bq, bits & U((1 << 52) - 1))
     # normal values have 16 or 17 digits; zeros, infinities and NaNs any
     length = np.searchsorted(POW10, f, "right") if (bq == 0).any() else (f >= POW10[16]) + 16
-    np.minimum(length, 17, out=length)
-    f *= POW10.take(17 - length)  # 17 digits, trailing zeros and all
+    f *= POW10.take(17 - np.minimum(length, 17, out=length))  # 17 digits, trailing zeros and all
     first, rest = np.divmod(f.view(np.int64), 10**16)
     halves = np.stack(np.divmod(rest, 10**8), axis=1)
     words = src.view(np.uint32)
@@ -118,8 +116,7 @@ def float_rows(values) -> np.ndarray:
         rows = np.array(list(map(repr, values.tolist())), dtype=f"S{WIDTH}")
         return rows.view(np.uint8).reshape(-1, WIDTH) * (values == values)[:, None]
     out = np.empty((values.size, WIDTH), dtype=np.uint8)
-    src = np.zeros((min(values.size, BLOCK), 32), dtype=np.uint8)
-    src[:, 24:] = np.frombuffer(b"-.0e+inf", dtype=np.uint8)
+    src = np.tile(np.frombuffer(bytes(24) + b"-.0e+inf", np.uint8), (min(values.size, BLOCK), 1))
     for start in range(0, values.size, BLOCK):
         bits = values[start : start + BLOCK].view(np.uint64)
         _block(bits, src[: bits.size], out[start : start + BLOCK])
