@@ -7,6 +7,8 @@ user's current average. With a common QoS exponent the expected surrogate
 potential is a Lyapunov function for this flow, and its stationary points
 include every pure Nash profile. Both the payoffs and the potential are
 exact at any size: they need only each channel's Poisson-binomial count law.
+The Euler loop steps on the field alone and takes the potential, max |dP/dt|
+and its divergence test once per block of steps.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import numpy as np
 
 from specgame.game import GameSpec, _exp_term_table, _occupancy, count_tables
 from specgame.learning import check_simplex_rows
+
+BLOCK_STEPS = 64  # Euler steps between diagnostics; their buffers scale with it
 
 
 def check_mixed_profile(game: GameSpec, strategies, batch: bool = False) -> np.ndarray:
@@ -45,7 +49,8 @@ class _Field:
     omega[n, m] = sum_c P(c others) * T_n[m, c] with T_n the surrogate
     count table of the user's exponent class. The potential separates over
     channels the same way, against the whole population's count law and the
-    exp-term table.
+    exp-term table. `_fill` gives omega alone, and `potentials` the
+    potential of a whole stack of profiles in one pass.
 
     The count laws of a batch of B profiles live count-major, in
     [count + 1, B, N, M] buffers whose row 0 is an all-zero pad below count
@@ -90,20 +95,10 @@ class _Field:
         self._law = src[1:].transpose(1, 2, 3, 0)  # [B, N, M, N] view
         self._terms = np.empty((b, n, m, n))
         self._omega = np.empty((b, n, m))
-        if self.theta is not None:
-            self._law0 = src[1:, :, 0]  # [N, B, M]: the law of user 0's others
-            self._everyone = np.empty((n + 1, b, m))  # [count, B, M]
-            self._shift = np.empty((n, b, m))
-            self._stay0 = np.empty((b, m))
-            self._phi_terms = np.empty((b, m, n + 1))
         self._batch = b
 
-    def _fill(self, p: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """omega [B, N, M] of p [B, N, M], in the field's own buffer.
-
-        With a common exponent, writes sum_m sum_c P(c users on m) g[m, c]
-        into phi [B]; `potential` turns that into the potential.
-        """
+    def _fill(self, p: np.ndarray) -> np.ndarray:
+        """omega [B, N, M] of p [B, N, M], in the field's own buffer."""
         if p.shape[0] != self._batch:
             self._allocate(p.shape[0])
         np.multiply(p.transpose(1, 0, 2)[:, :, None, :], self._others, out=self._masked)
@@ -115,24 +110,26 @@ class _Field:
             np.add(nxt, carry, out=nxt)
         np.multiply(self._law, self.tables, out=self._terms)
         np.add.reduce(self._terms, axis=-1, out=self._omega)
-        if self.theta is not None:
-            # one more pass, on user 0's row, adds user 0 back to its others:
-            # the count law of all N users
-            law0, everyone, shift = self._law0, self._everyone, self._shift
-            p0 = p[:, 0]
-            np.subtract(1.0, p0, out=self._stay0)
-            np.multiply(law0, self._stay0, out=everyone[:-1])
-            everyone[-1] = 0.0  # cleared each call: count N gets only the shift
-            np.multiply(law0, p0, out=shift)
-            np.add(everyone[1:], shift, out=everyone[1:])
-            terms = self._phi_terms
-            np.multiply(everyone.transpose(1, 2, 0), self.exp_terms, out=terms)
-            np.add.reduce(terms.reshape(self._batch, -1), axis=-1, out=phi)
         return self._omega
 
-    def potential(self, phi: np.ndarray) -> np.ndarray:
-        """The expected surrogate potential of each phi that `_fill` wrote."""
-        return phi if self.theta is None else (1.0 - phi) / self.theta
+    def potentials(self, p: np.ndarray) -> np.ndarray:
+        """The expected surrogate potential [S] of each profile of p [S, N, M],
+        nan without a common exponent. Its passes, over users 1..N-1 and then
+        user 0, repeat `_fill`'s per-element operations on row 0, bit for bit."""
+        s, n, m = p.shape
+        if self.theta is None:
+            return np.full(s, math.nan)
+        law = np.zeros((n + 2, s, m))  # [count + 1, S, M], row 0 the pad
+        law[1] = 1.0
+        nxt, carry = np.zeros_like(law), np.empty((n + 1, s, m))
+        for k in (*range(1, n), 0):
+            np.multiply(law[1:], np.subtract(1.0, p[:, k]), out=nxt[1:])
+            np.multiply(law[:-1], p[:, k], out=carry)
+            np.add(nxt[1:], carry, out=nxt[1:])
+            law, nxt = nxt, law
+        terms = np.empty((s, m, n + 1))
+        np.multiply(law[1:].transpose(1, 2, 0), self.exp_terms, out=terms)
+        return (1.0 - np.add.reduce(terms.reshape(s, -1), axis=-1)) / self.theta
 
     def evaluate(self, p: np.ndarray):
         """omega and the expected surrogate potential (nan without one).
@@ -141,9 +138,8 @@ class _Field:
         omega [B, N, M] and potentials [B]. The results are fresh arrays.
         """
         batch = p[None] if p.ndim == 2 else p
-        phi = np.full(batch.shape[0], math.nan)
-        omega = self._fill(batch, phi).copy()
-        potential = self.potential(phi)
+        omega = self._fill(batch).copy()
+        potential = self.potentials(batch)
         if p.ndim == 2:
             return omega[0], float(potential[0])
         return omega, potential
@@ -158,10 +154,11 @@ def action_value(game: GameSpec, user: int, channel: int, strategies) -> float:
     return float(omega[user, channel - 1])
 
 
-def _rhs(p: np.ndarray, omega: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """p * (omega - sum_m p omega) over the last axis, written into `out`."""
+def _rhs(p: np.ndarray, omega: np.ndarray, out: np.ndarray, average=None) -> np.ndarray:
+    """p * (omega - sum_m p omega) over the last axis, written into `out`;
+    the row sums go to `average`, a keepdims buffer, when one is given."""
     np.multiply(p, omega, out=out)
-    average = np.add.reduce(out, axis=-1, keepdims=True)
+    average = np.add.reduce(out, axis=-1, keepdims=True, out=average)
     np.subtract(omega, average, out=out)
     return np.multiply(p, out, out=out)
 
@@ -227,9 +224,11 @@ def integrate(
     its start gives alone.
 
     Each step clamps negatives to zero and renormalizes the rows, so the
-    iterate stays on the simplex product. Raises IntegrationDivergedError
-    (carrying the step index, and for a batch the first trajectory that
-    diverged) if the state turns non-finite.
+    iterate stays on the simplex product. A step runs only the field, dP/dt
+    and the Euler update; the potentials, max |dP/dt| and the divergence
+    test are taken once per BLOCK_STEPS steps, over the whole block. Raises
+    IntegrationDivergedError (carrying the step index, and for a batch the
+    first trajectory that diverged) if the state turns non-finite.
     """
     if not 0.0 < dt <= 0.5:
         raise ValueError(f"dt must be in (0, 0.5], got {dt!r}")
@@ -239,35 +238,39 @@ def integrate(
     single = p.ndim == 2
     if single:
         p = p[None]
-    b = p.shape[0]
+    b, n, m = p.shape
     field = _Field(game)
-    path = np.empty((steps + 1, *p.shape))
+    path = np.empty((steps + 1, b, n, m))
     path[0] = p
-    phi = np.full((steps + 1, b), math.nan)
+    pots = np.empty((steps + 1, b))
     maxr = np.empty((steps + 1, b))
-    rhs = np.empty_like(p)
-    scratch = np.empty_like(p)  # |dP/dt|, then the Euler step dt * dP/dt
-    scratch_rows = scratch.reshape(b, -1)
-    finite = np.empty(p.shape, dtype=bool)
-    for t in range(steps + 1):
-        p = path[t]
-        omega = field._fill(p, phi[t])
-        _rhs(p, omega, rhs)
-        np.abs(rhs, out=scratch)
-        np.maximum.reduce(scratch_rows, axis=-1, out=maxr[t])
-        if t == steps:
-            break
-        nxt = path[t + 1]
-        np.multiply(rhs, dt, out=scratch)
-        np.add(p, scratch, out=nxt)
-        if not np.logical_and.reduce(np.isfinite(nxt, out=finite), axis=None):
-            rows_ok = np.logical_and.reduce(finite.reshape(b, -1), axis=-1)
-            raise IntegrationDivergedError(
-                t + 1, None if single else int(np.flatnonzero(~rows_ok)[0])
-            )
-        np.maximum(nxt, 0.0, out=nxt)
-        np.divide(nxt, np.add.reduce(nxt, axis=-1, keepdims=True), out=nxt)
-    pots = field.potential(phi)
+    size = min(BLOCK_STEPS, steps + 1)
+    block = np.empty((size, b, n, m))  # dP/dt of each step of a block
+    rows = np.empty((b, n, 1))  # row sums
+    # a diverged state is reported by the block's test, not by numpy warnings
+    with np.errstate(all="ignore"):
+        for t0 in range(0, steps + 1, size):
+            t1 = min(t0 + size, steps + 1)
+            for t in range(t0, t1):
+                p, rhs = path[t], block[t - t0]
+                _rhs(p, field._fill(p), rhs, rows)
+                if t == steps:
+                    break
+                nxt = path[t + 1]
+                np.multiply(rhs, dt, out=nxt)
+                np.add(p, nxt, out=nxt)
+                np.maximum(nxt, 0.0, out=nxt)
+                np.divide(nxt, np.add.reduce(nxt, axis=-1, keepdims=True, out=rows), out=nxt)
+            # with p in [0, 1] and dt <= 0.5, dP/dt at step t is finite exactly
+            # when the iterate at t + 1 is before its clamp; the last is not tested
+            k, tested = t1 - t0, min(t1, steps) - t0
+            ok = np.isfinite(block[:tested]).reshape(tested * b, n * m).all(axis=-1)
+            if not ok.all():
+                t, bad = divmod(int(np.flatnonzero(~ok)[0]), b)
+                raise IntegrationDivergedError(t0 + t + 1, None if single else bad)
+            np.abs(block[:k], out=block[:k])
+            np.maximum.reduce(block[:k].reshape(k, b, -1), axis=-1, out=maxr[t0:t1])
+            pots[t0:t1] = field.potentials(path[t0:t1].reshape(-1, n, m)).reshape(k, b)
     if single:
         return Trajectory(strategies=path[:, 0], potentials=pots[:, 0], max_rhs=maxr[:, 0])
     return Trajectory(strategies=path, potentials=pots, max_rhs=maxr)

@@ -421,15 +421,19 @@ def _arrangements(counts: Sequence[int], dtype) -> np.ndarray:
     """Distinct orderings of a multiset holding counts[m] copies of m, as [P, sum].
 
     Built one position at a time: each row branches on every channel it has
-    left, in ascending order, so rows stay in lexicographic order.
+    left, in ascending order, so rows stay in lexicographic order. Each
+    position keeps its rows' parents and channels; the rows are read back
+    from the last position.
     """
-    rows = np.zeros((1, 0), dtype=dtype)
-    left = np.array([counts], dtype=np.int64)
+    left, moves = np.array([counts], dtype=np.int64), []
     for _ in range(sum(counts)):
-        parent, m = np.nonzero(left)
-        rows = np.column_stack([rows[parent], m.astype(dtype)])
+        parent, m = divmod(np.flatnonzero(left), len(counts))
         left = left[parent]
-        left[np.arange(len(m)), m] -= 1
+        left.reshape(-1)[np.arange(0, left.size, len(counts)) + m] -= 1
+        moves.append((parent, m))
+    rows, at = np.empty((len(left), len(moves)), dtype=dtype), np.arange(len(left))
+    for pos, (parent, m) in reversed(list(enumerate(moves))):
+        rows[:, pos], at = m[at], parent[at]
     return rows
 
 

@@ -427,6 +427,9 @@ class RandomPolicy(Policy):
         0-based channels chosen, [k, T, N].
         """
         k, trials, n = u.shape
+        if self.actions is None:  # the first chunk is the longest
+            # each slot and trial's start in the flat [k, T, M] chunk
+            self.offsets = (np.arange(k * trials) * rates.shape[-1]).reshape(k, trials, 1)
         if self.per_slot or self.actions is None:
             self.actions = self.sums.searchsorted(u if self.per_slot else u[0], "right")
             # whether users i and j share a channel, user-major, [N, N, rows],
@@ -437,8 +440,7 @@ class RandomPolicy(Policy):
             # takers of each user's channel, and those of them before it
             self.count = add.reduce(same, 1, dtype=float).T.reshape(self.actions.shape)
             self.rank = add.reduce(same, 1, dtype=float, where=before).T.reshape(self.count.shape)
-        # each user's channel as an index into the flat [k, T, M] chunk
-        at = self.actions + (np.arange(k * trials) * rates.shape[-1]).reshape(k, trials, 1)
+        at = self.actions + self.offsets[:k]  # each user's channel, flat
         got = rates.take(at)
         if model is Contention.FAIR_SHARE:
             np.divide(got, self.count, out=out)

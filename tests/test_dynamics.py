@@ -7,6 +7,7 @@ from conftest import random_game
 from specgame.channels import ChannelSpec
 from specgame.capacity import approx_utility
 from specgame.dynamics import (
+    BLOCK_STEPS,
     IntegrationDivergedError,
     Trajectory,
     _Field,
@@ -325,36 +326,63 @@ class TestBatchedIntegrate:
 
 
 class TestDivergence:
-    """A field that turns non-finite at the third call."""
+    """A field that turns non-finite, for the last start, at a given call."""
 
     @pytest.fixture
-    def poisoned(self, monkeypatch):
+    def poison(self, monkeypatch):
         fill = _Field._fill
-        calls = []
+        calls, at = [], []
 
-        def fill_then_poison(self, p, phi):
-            omega = fill(self, p, phi)
+        def fill_then_poison(self, p):
+            omega = fill(self, p)
             calls.append(None)
-            if len(calls) == 3:
-                omega[-1, 0, 0] = np.nan
+            if len(calls) == at[0][0]:
+                omega[-1, 0, 0] = at[0][1]
             return omega
 
         monkeypatch.setattr(_Field, "_fill", fill_then_poison)
+        return lambda call, value=np.nan: at.append((call, value))
 
-    def test_names_the_step(self, poisoned):
+    @staticmethod
+    def starts(size=3):
+        starts = np.full((size, 2, 2), 0.5)
+        starts[:, 0] = [0.7, 0.3]
+        return starts
+
+    def test_names_the_step(self, poison):
+        poison(3)
         g = twin_channel_game()
         with pytest.raises(IntegrationDivergedError, match=r"at step 3$") as err:
             integrate(g, np.array([[0.7, 0.3], [0.2, 0.8]]), dt=0.1, steps=10)
         assert err.value.step == 3
         assert err.value.trajectory is None
 
-    def test_names_the_first_trajectory_that_diverged(self, poisoned):
+    def test_names_the_first_trajectory_that_diverged(self, poison):
+        poison(3)
         g = twin_channel_game()
-        starts = np.full((3, 2, 2), 0.5)
-        starts[:, 0] = [0.7, 0.3]
         with pytest.raises(IntegrationDivergedError, match="at step 3 in trajectory 2") as err:
-            integrate(g, starts, dt=0.1, steps=10)
+            integrate(g, self.starts(), dt=0.1, steps=10)
         assert (err.value.step, err.value.trajectory) == (3, 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_names_a_step_in_a_later_block(self, poison, value):
+        # the steps after the divergence still run to the end of the block,
+        # and inf - inf there warns nothing
+        poison(BLOCK_STEPS + 6, value)
+        g = twin_channel_game()
+        with pytest.raises(IntegrationDivergedError) as err:
+            integrate(g, self.starts(), dt=0.1, steps=3 * BLOCK_STEPS)
+        assert (err.value.step, err.value.trajectory) == (BLOCK_STEPS + 6, 2)
+
+    @pytest.mark.parametrize("steps", [5, BLOCK_STEPS - 1, BLOCK_STEPS, 2 * BLOCK_STEPS + 3])
+    def test_a_non_finite_last_rhs_is_not_tested(self, poison, steps):
+        # the final step's dP/dt feeds no iterate, only its max |dP/dt|
+        poison(steps + 1)
+        g = twin_channel_game()
+        traj = integrate(g, self.starts(), dt=0.1, steps=steps)
+        assert np.isnan(traj.max_rhs[-1, 2])
+        assert np.isfinite(traj.max_rhs[:-1]).all() and np.isfinite(traj.max_rhs[-1, :2]).all()
+        assert np.isfinite(traj.strategies).all() and np.isfinite(traj.potentials).all()
 
 
 def test_trajectory_final_property():

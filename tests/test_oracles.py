@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import brute_force
 from conftest import random_channels
-from specgame.dynamics import _Field, integrate, mixed_potential, replicator_rhs
+from specgame.dynamics import BLOCK_STEPS, _Field, integrate, mixed_potential, replicator_rhs
 from specgame.game import (
     TIE_TOL,
     Contention,
@@ -242,18 +242,44 @@ def test_a_batch_equals_its_starts_run_alone(case, size, dt):
         assert_same_bits(batch.final[b], alone.final)
 
 
-def test_the_clamp_fires_and_the_flow_still_matches():
+# 2 * BLOCK_STEPS + 3 steps: diagnostics over two whole blocks and a partial one
+ACROSS_BLOCKS = 2 * BLOCK_STEPS + 3
+
+
+def assert_same_flow(got_path, got_potentials, got_max_rhs, want):
+    assert_same_bits(got_path, want.strategies)
+    assert_same_bits(got_potentials, want.potentials)
+    assert_same_bits(got_max_rhs, want.max_rhs)
+
+
+@given(flow_cases(), st.sampled_from((1, 3)), st.sampled_from((0.02, 0.5)))
+@settings(max_examples=30, deadline=None)
+def test_a_flow_across_blocks_matches_the_reference(case, size, dt):
+    rng, g = case
+    starts = np.stack([draw_start(rng, g) for _ in range(size)])
+    single = integrate(g, starts[0], dt=dt, steps=ACROSS_BLOCKS)
+    batch = integrate(g, starts, dt=dt, steps=ACROSS_BLOCKS)
+    for b, start in enumerate(starts):
+        want = brute_force.integrate(g, start, dt=dt, steps=ACROSS_BLOCKS)
+        if b == 0:
+            assert_same_flow(single.strategies, single.potentials, single.max_rhs, want)
+        assert_same_flow(
+            batch.strategies[:, b], batch.potentials[:, b], batch.max_rhs[:, b], want
+        )
+
+
+@pytest.mark.parametrize("steps", [40, ACROSS_BLOCKS])
+def test_the_clamp_fires_and_the_flow_still_matches(steps):
     # low exponent, spread-out rates and dt = 0.5: Euler overshoots below zero
     rng = np.random.default_rng(3)
     g = GameSpec(thetas=(1e-2,) * 4, channels=spread(random_channels(rng, 3)))
     start = np.full((4, 3), 1.0 / 3.0)
-    want = brute_force.integrate(g, start, dt=0.5, steps=40)
+    want = brute_force.integrate(g, start, dt=0.5, steps=steps)
     path = want.strategies
     clamped = (path[1:] == 0.0) & (path[:-1] > 0.0)
     assert clamped.any()
-    traj = integrate(g, start, dt=0.5, steps=40)
-    assert_same_bits(traj.strategies, want.strategies)
-    assert_same_bits(traj.potentials, want.potentials)
-    assert_same_bits(traj.max_rhs, want.max_rhs)
-    batch = integrate(g, np.stack([start, path[7]]), dt=0.5, steps=40)
-    assert_same_bits(batch.strategies[:, 0], want.strategies)
+    traj = integrate(g, start, dt=0.5, steps=steps)
+    assert_same_flow(traj.strategies, traj.potentials, traj.max_rhs, want)
+    batch = integrate(g, np.stack([path[7], start]), dt=0.5, steps=steps)
+    assert_same_flow(batch.strategies[:, 1], batch.potentials[:, 1], batch.max_rhs[:, 1], want)
+
