@@ -10,14 +10,14 @@ preset takes (fair-share contention, `sla`, and the held and per-slot
 under configs/LABEL. Prints `sha256  path` for each file the commands write
 and for each command's standard output, saved as GROUP/LABEL.stdout; paths
 are relative to --out. Two trees give the same listing when every artifact
-is byte-identical:
+is byte-identical. `--compare OLD_TREE` runs OLD_TREE and then --root into
+the same --out, prints only the paths whose digests differ (or that one tree
+alone writes), then a count on stderr, and exits 1 if any differs:
 
-    python3 scripts/artifact_digests.py --root OLD_TREE --out /tmp/digests > old.txt
-    python3 scripts/artifact_digests.py --root NEW_TREE --out /tmp/digests > new.txt
-    diff old.txt new.txt
+    python3 scripts/artifact_digests.py --root NEW_TREE --out /tmp/digests --compare OLD_TREE
 
-Give both runs the same --out: `resolved_config.json` and the printed
-summary lines name the output directory.
+Runs compared by hand need the same --out too: `resolved_config.json` and
+the printed summary lines name the output directory.
 """
 
 import argparse
@@ -98,39 +98,56 @@ def engine_config(contention: str, algorithm: str, per_slot: bool) -> dict:
     }
 
 
-def record(root: Path, out: Path, group: str, label: str, argv: list[str]) -> None:
-    """Run one command into OUT/GROUP/LABEL and print the digests it leaves."""
+def record(root: Path, out: Path, group: str, label: str, argv: list[str]):
+    """Run one command into OUT/GROUP/LABEL; yields (digest, path) for each
+    file it leaves, the path relative to OUT."""
     target = out / group / label
     shutil.rmtree(target, ignore_errors=True)
     stdout = run(root, ["-m", "specgame.cli", *argv, "--out", str(target)], out)
     log = out / group / f"{label}.stdout"
     log.write_text(stdout, encoding="utf-8")
     for path in [log, *sorted(p for p in target.rglob("*") if p.is_file())]:
-        print(f"{sha256(path)}  {path.relative_to(out)}", flush=True)
+        yield sha256(path), str(path.relative_to(out))
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--root", type=Path, required=True, help="tree whose src/ to run")
-    ap.add_argument("--out", type=Path, required=True, help="directory for the artifacts")
-    args = ap.parse_args()
-    root, out = args.root.resolve(), args.out.resolve()
-    out.mkdir(parents=True, exist_ok=True)
+def digests(root: Path, out: Path):
+    """(digest, path) for every artifact of the command set, run from root."""
     presets = [line.split() for line in run(root, ["-c", LIST_PRESETS], out).splitlines()]
     for preset, has_sweep in presets:
         for command, flags in COMMANDS.items():
             if command == "sweep" and has_sweep != "True":
                 continue
-            record(root, out, preset, command, [command, "--preset", preset, *flags])
+            yield from record(root, out, preset, command, [command, "--preset", preset, *flags])
     for preset, label, argv in LONG_RUNS:
-        record(root, out, preset, label, [*argv[:1], "--preset", preset, *argv[1:]])
+        yield from record(root, out, preset, label, [*argv[:1], "--preset", preset, *argv[1:]])
     configs = out / "configs"
     configs.mkdir(exist_ok=True)
     for label, path_args in ENGINE_PATHS.items():
         path = configs / f"{label}.json"
         path.write_text(json.dumps(engine_config(*path_args), indent=2) + "\n", encoding="utf-8")
         argv = ["experiment", "--config", str(path), "--trace", "--plot"]
-        record(root, out, "configs", label, argv)
+        yield from record(root, out, "configs", label, argv)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path, required=True, help="tree whose src/ to run")
+    ap.add_argument("--out", type=Path, required=True, help="directory for the artifacts")
+    ap.add_argument("--compare", type=Path, metavar="OLD_TREE", help="tree to compare with")
+    args = ap.parse_args()
+    root, out = args.root.resolve(), args.out.resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    if args.compare is None:
+        for digest, path in digests(root, out):
+            print(f"{digest}  {path}", flush=True)
+        return
+    old = {path: digest for digest, path in digests(args.compare.resolve(), out)}
+    new = {path: digest for digest, path in digests(root, out)}
+    differ = sorted(path for path in old.keys() | new.keys() if old.get(path) != new.get(path))
+    for path in differ:
+        print(path)
+    print(f"{len(differ)} of {len(old.keys() | new.keys())} paths differ", file=sys.stderr)
+    sys.exit(1 if differ else 0)
 
 
 if __name__ == "__main__":

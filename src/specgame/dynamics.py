@@ -145,15 +145,6 @@ class _Field:
         return omega, potential
 
 
-def action_value(game: GameSpec, user: int, channel: int, strategies) -> float:
-    """E[u'_user | a_user = channel] with the others drawn from `strategies`."""
-    p = check_mixed_profile(game, strategies)
-    if not 1 <= channel <= game.n_channels:
-        raise ValueError(f"channel must be in 1..{game.n_channels}")
-    omega, _ = _Field(game).evaluate(p)
-    return float(omega[user, channel - 1])
-
-
 def _rhs(p: np.ndarray, omega: np.ndarray, out: np.ndarray, average=None) -> np.ndarray:
     """p * (omega - sum_m p omega) over the last axis, written into `out`;
     the row sums go to `average`, a keepdims buffer, when one is given."""
@@ -274,11 +265,6 @@ def integrate(
     if single:
         return Trajectory(strategies=path[:, 0], potentials=pots[:, 0], max_rhs=maxr[:, 0])
     return Trajectory(strategies=path, potentials=pots, max_rhs=maxr)
-
-
-def is_stationary(game: GameSpec, strategies, tol: float = 1e-9) -> bool:
-    """True when max |dP/dt| <= tol."""
-    return float(np.abs(replicator_rhs(game, strategies)).max()) <= tol
 
 
 def vertex_profile(game: GameSpec, profile) -> np.ndarray:

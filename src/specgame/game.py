@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from specgame.capacity import (
-    RateDistribution, _approx_utilities, _effective_capacities, _log_mgf_neg, approx_utility,
+    RateDistribution, _approx_utilities, _effective_capacities, _log_mgf_neg,
     check_exponents, effective_capacity, log_sum_exp,
 )
 from specgame.channels import ChannelSpec
@@ -158,30 +158,6 @@ def utility(game: GameSpec, profile: Sequence[int], user: int) -> float:
     )
 
 
-def surrogate_utility(game: GameSpec, profile: Sequence[int], user: int) -> float:
-    """First-order surrogate payoff (1 - E[exp(-theta r)]) / theta."""
-    return approx_utility(
-        user_rate_distribution(game, profile, user), game.thetas[user]
-    )
-
-
-def expected_rate_share(game: GameSpec, profile: Sequence[int], user: int) -> float:
-    """Mean rate per contender on the user's channel; same under both models."""
-    prof, counts = _occupancy(game, profile)
-    channel = game.channels[prof[user] - 1]
-    return channel.law.mean() / counts[prof[user] - 1]
-
-
-def rosenthal_potential(game: GameSpec, profile: Sequence[int]) -> float:
-    """Exact potential of the expected-rate-share game: sum_m sum_{l<=c_m} mean_m / l."""
-    prof, counts = _occupancy(game, profile)
-    total = 0.0
-    for ch, c in zip(game.channels, counts):
-        mr = ch.law.mean()
-        total += sum(mr / l for l in range(1, c + 1))
-    return total
-
-
 def _exp_term_table(game: GameSpec, theta: float, upto: int) -> np.ndarray:
     """g[m, c] = sum_{l<=c} E[exp(-theta r_m / l)] for c = 0..upto, as [M, upto+1].
 
@@ -235,14 +211,6 @@ def ordinal_potential(game: GameSpec, profile: Sequence[int]) -> float:
     return float(_state_potentials(game, theta, np.array([counts]))[0])
 
 
-def surrogate_potential(game: GameSpec, profile: Sequence[int]) -> float:
-    """Exact potential (1 - phi) / theta of the surrogate-payoff game."""
-    theta = _require_homogeneous(game)
-    prof, counts = _occupancy(game, profile)
-    g = _exp_term_table(game, theta, max(counts))
-    return (1.0 - float(sum(g[mi, c] for mi, c in enumerate(counts)))) / theta
-
-
 # --- pure-strategy equilibrium tooling -------------------------------------
 
 _PAYOFFS: dict[str, Callable[[RateDistribution, list[float]], list[float]]] = {
@@ -259,7 +227,7 @@ def count_tables(game: GameSpec, payoff: str, upto: int) -> tuple[np.ndarray, np
     tables[k, m, c - 1] is the payoff (`"capacity"`, the effective capacity,
     or `"surrogate"`) of a class-k user on channel m + 1 with c users there.
     Each shared rate law is built once and every class's exponent is
-    evaluated on it by the code behind `utility` and `surrogate_utility`, so
+    evaluated on it by the code behind `utility` and `approx_utility`, so
     entries agree with them bit for bit.
     """
     try:

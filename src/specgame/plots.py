@@ -6,10 +6,19 @@ bytes whether they come from memory or are parsed back from the CSVs the
 commands write (`repr` floats round-trip exactly), which the artifact tests
 rely on. Only positional text and polylines are used; no fonts are embedded
 and no scripts are emitted.
+
+A polyline's coordinates are formatted in numpy: for 0 <= v < FAST_BELOW,
+n = rint(100 v) gives two NUL-padded words from one table lookup, n // 100
+and the point, n % 100 and the separator, joined by dropping the NULs. That
+is the correctly rounded "%.2f" % v unless 100 v lies within TIE of a
+half-integer, where the product's rounding may move it across the tie.
+Those coordinates, and any outside [0, FAST_BELOW) (-0.0 too), go through %
+one at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -33,6 +42,15 @@ MARGIN_L = 64
 MARGIN_R = 16
 MARGIN_T = 40
 MARGIN_B = 48
+
+# _points formats at most this many coordinates at once, which keeps each
+# of its int64 temporaries at 32 KiB
+BLOCK = 4096
+# below it n = rint(100 v) < 10^6, so n // 100 is one word of _words; a
+# chart's coordinates stay below its size
+FAST_BELOW = 9999.99
+# far above the half ulp (below 1e-10 for v < 1e4) by which 100 v may be off
+TIE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,8 +99,37 @@ def _coord(x: float) -> str:
     return f"{x:.2f}"
 
 
-# a polyline point: both coordinates as _coord writes them
-_POINT = "%.2f,%.2f"
+@functools.cache
+def _words() -> np.ndarray:
+    """ASCII words of four bytes: 0..9999 with NUL for each leading zero,
+    then ".00".."99" followed by a comma (from 10000) or a space (10100)."""
+    text = "".join(format(i, "\0>4") for i in range(10000))
+    text += "".join(f".{i:02}{sep}" for sep in ", " for i in range(100))
+    return np.frombuffer(text.encode(), dtype=np.uint32)
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """A polyline's points from its scaled coordinates: "x,y" pairs, each
+    coordinate as _coord writes it, joined by spaces."""
+    if len(xs) > BLOCK // 2:
+        blocks = range(0, len(xs), BLOCK // 2)
+        return " ".join(_points(xs[i : i + BLOCK // 2], ys[i : i + BLOCK // 2]) for i in blocks)
+    values = np.stack([xs, ys], axis=1)
+    fast = (values < FAST_BELOW) & ~np.signbit(values)
+    scaled = np.where(fast, values, 0.0) * 100.0
+    n = np.rint(scaled)
+    fast &= np.abs(scaled - n) <= 0.5 - TIE
+    whole, cents = np.divmod(n.astype(np.int64), 100)
+    words = _words().take(np.stack([whole, cents + [10000, 10100]], axis=2))
+    cells = words.view(np.uint8).reshape(-1, 8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = [("%.2f" % values.flat[i] + ", "[i % 2]).encode() for i in slow.tolist()]
+        width = max(8, *map(len, texts))
+        cells = np.pad(cells, ((0, 0), (0, width - 8)))
+        cells[slow] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    text = cells.ravel()
+    return text[text != 0].tobytes()[:-1].decode()
 
 
 def line_chart(
@@ -177,11 +224,9 @@ def line_chart(
     for i, (s, (xs, ys)) in enumerate(zip(series, finite)):
         color = PALETTE[i % len(PALETTE)]
         if xs.size:
-            points = zip(sx(xs).tolist(), sy(ys).tolist())
-            coords = " ".join(map(_POINT.__mod__, points))
             parts.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"/>'
+                f'<polyline points="{_points(sx(xs), sy(ys))}" fill="none" '
+                f'stroke="{color}" stroke-width="1.5"/>'
             )
         ly = MARGIN_T + 14 + 16 * i
         lx = WIDTH - MARGIN_R - 150

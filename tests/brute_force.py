@@ -5,6 +5,10 @@ These are the profile-scan designs that `specgame.game` and
 algorithms. They are exponential in N and serve only to check the fast
 paths on small games.
 
+`surrogate_utility`, `expected_rate_share`, `rosenthal_potential`,
+`surrogate_potential`, `action_value` and `is_stationary` are per-profile
+helpers that no command uses, kept here for the tests that read them.
+
 `effective_capacity` and `approx_utility` keep the capacity layer's scalar
 form, one exponent and one log_sum_exp at a time, from before it evaluated
 a rate law at several exponents at once. They are the references its
@@ -21,18 +25,71 @@ import math
 
 import numpy as np
 
-from specgame.dynamics import IntegrationDivergedError, Trajectory, check_mixed_profile
+from specgame import capacity
+from specgame.dynamics import (
+    IntegrationDivergedError,
+    Trajectory,
+    _Field,
+    check_mixed_profile,
+    replicator_rhs,
+)
 from specgame.game import (
     TIE_TOL,
     PotentialReport,
     _exp_term_table,
     _find_improvement,
+    _occupancy,
+    _require_homogeneous,
     congestion_counts,
     count_tables,
     ordinal_potential,
-    surrogate_potential,
+    user_rate_distribution,
     utility,
 )
+
+
+def surrogate_utility(game, profile, user):
+    """First-order surrogate payoff (1 - E[exp(-theta r)]) / theta."""
+    return capacity.approx_utility(user_rate_distribution(game, profile, user), game.thetas[user])
+
+
+def expected_rate_share(game, profile, user):
+    """Mean rate per contender on the user's channel; same under both models."""
+    prof, counts = _occupancy(game, profile)
+    channel = game.channels[prof[user] - 1]
+    return channel.law.mean() / counts[prof[user] - 1]
+
+
+def rosenthal_potential(game, profile):
+    """Exact potential of the expected-rate-share game: sum_m sum_{l<=c_m} mean_m / l."""
+    prof, counts = _occupancy(game, profile)
+    total = 0.0
+    for ch, c in zip(game.channels, counts):
+        mr = ch.law.mean()
+        total += sum(mr / l for l in range(1, c + 1))
+    return total
+
+
+def surrogate_potential(game, profile):
+    """Exact potential (1 - phi) / theta of the surrogate-payoff game."""
+    theta = _require_homogeneous(game)
+    prof, counts = _occupancy(game, profile)
+    g = _exp_term_table(game, theta, max(counts))
+    return (1.0 - float(sum(g[mi, c] for mi, c in enumerate(counts)))) / theta
+
+
+def action_value(game, user, channel, strategies):
+    """E[u'_user | a_user = channel] with the others drawn from `strategies`."""
+    p = check_mixed_profile(game, strategies)
+    if not 1 <= channel <= game.n_channels:
+        raise ValueError(f"channel must be in 1..{game.n_channels}")
+    omega, _ = _Field(game).evaluate(p)
+    return float(omega[user, channel - 1])
+
+
+def is_stationary(game, strategies, tol=1e-9):
+    """True when max |dP/dt| <= tol."""
+    return float(np.abs(replicator_rhs(game, strategies)).max()) <= tol
 
 
 def log_mgf_neg(dist, theta):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import action_value, is_stationary, surrogate_potential, surrogate_utility
 from conftest import random_game
 from specgame.channels import ChannelSpec
 from specgame.capacity import approx_utility
@@ -11,9 +12,7 @@ from specgame.dynamics import (
     IntegrationDivergedError,
     Trajectory,
     _Field,
-    action_value,
     integrate,
-    is_stationary,
     mixed_potential,
     replicator_rhs,
     vertex_profile,
@@ -22,8 +21,6 @@ from specgame.game import (
     GameSpec,
     enumerate_nash,
     shared_rate_distribution,
-    surrogate_potential,
-    surrogate_utility,
 )
 
 

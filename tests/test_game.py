@@ -8,6 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import brute_force
+from brute_force import (
+    expected_rate_share,
+    rosenthal_potential,
+    surrogate_potential,
+    surrogate_utility,
+)
 from conftest import random_channels, random_game
 from specgame.channels import ChannelSpec
 from specgame.game import (
@@ -20,16 +26,12 @@ from specgame.game import (
     congestion_counts,
     count_tables,
     enumerate_nash,
-    expected_rate_share,
     is_nash,
     occupancy_vectors,
     ordinal_potential,
     potential_maximizer,
     profile_utilities,
-    rosenthal_potential,
     shared_rate_distribution,
-    surrogate_potential,
-    surrogate_utility,
     total_utility,
     user_rate_distribution,
     utility,

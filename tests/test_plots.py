@@ -131,15 +131,20 @@ def outcome(chart, series) -> str:
         return repr(err)
 
 
+def repr_points(xs, ys) -> str:
+    """plots._points at full precision: each coordinate as its repr."""
+    return " ".join(f"{x!r},{y!r}" for x, y in zip(xs.tolist(), ys.tolist()))
+
+
 def same_chart(*series):
     """The same bytes as the reference, from lists and from arrays; and the
     same coordinates at full precision, where two decimals would hide a
     difference in the last bits."""
     as_arrays = [Series(s.label, np.asarray(s.xs, float), np.asarray(s.ys, float)) for s in series]
-    for coord, point in ((plots._coord, plots._POINT), (repr, "%r,%r")):
+    for coord, points in ((plots._coord, plots._points), (repr, repr_points)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(plots, "_coord", coord)
-            mp.setattr(plots, "_POINT", point)
+            mp.setattr(plots, "_points", points)
             expected = outcome(reference_line_chart, series)
             assert outcome(line_chart, series) == expected
             assert outcome(line_chart, as_arrays) == expected
@@ -213,6 +218,65 @@ class TestLineChartMatchesReference:
                 for i, pts in enumerate(points)
             )
         )
+
+
+def same_points(values):
+    """plots._points on values paired up gives the bytes of "%.2f" % v for
+    every coordinate."""
+    values = np.asarray(values, dtype=float)
+    for xs, ys in ((values[::2], values[1::2]), (values[1::2], values[::2])):
+        n = min(len(xs), len(ys))
+        xs, ys = xs[:n], ys[:n]
+        want = " ".join("%.2f,%.2f" % point for point in zip(xs.tolist(), ys.tolist()))
+        assert plots._points(xs, ys) == want
+
+
+# every tie of %.2f up to the chart's width, k / 200 for odd k, and the
+# coordinates that round to whole cents between them
+TIES = np.arange(144_000) / 200
+SPECIAL = [-0.0, 0.0, -1e-9, -0.005, -3.5, NAN, INF, -INF, 9999.985, 9999.99, 9999.995, 1e4, 1e5, 1e300, MAX]
+
+
+class TestPointsMatchPercentFormat:
+    def test_every_tie_and_its_neighbours(self):
+        same_points(np.stack([TIES, np.nextafter(TIES, INF), np.nextafter(TIES, -INF)], axis=1).ravel())
+
+    def test_values_outside_the_kernel(self):
+        same_points(SPECIAL + SPECIAL[::-1])
+        same_points([1.0, *SPECIAL, 2.0])
+
+    def test_no_points(self):
+        assert plots._points(np.zeros(0), np.zeros(0)) == ""
+
+    def test_only_near_ties_and_outside_values_go_through_percent(self, monkeypatch):
+        # with the table's digits as letters, letters show what the table wrote
+        table = plots._words().view(np.uint8).copy()
+        table[(table >= ord("0")) & (table <= ord("9"))] += ord("a") - ord("0")
+        monkeypatch.setattr(plots, "_words", lambda: table.view(np.uint32))
+        letters = str.maketrans("0123456789", "abcdefghij")
+        kernel = [0.0, 0.3, 1.0, 719.99, 9999.98]
+        percent = [-0.0, 0.005, 0.125, 2.675, 9999.99, 1e4, 1e300]
+        xs = np.array(kernel + percent)
+        got = [point.split(",")[0] for point in plots._points(xs, np.ones(len(xs))).split()]
+        want = [("%.2f" % x).translate(letters) for x in kernel] + ["%.2f" % x for x in percent]
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(0.0, 1e5, exclude_max=True)
+            | st.integers(0, len(TIES) - 1).flatmap(
+                lambda k: st.sampled_from(
+                    [TIES[k], np.nextafter(TIES[k], INF), np.nextafter(TIES[k], -INF)]
+                )
+            )
+            | st.sampled_from(SPECIAL)
+            | st.floats(),
+            max_size=5000,
+        )
+    )
+    def test_random_values(self, values):
+        same_points(values)
 
 
 class Stalled(Exception):
